@@ -87,7 +87,9 @@ func encodeFuncEntry(f *mach.Func) ([]byte, error) {
 	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	// The cache retains the entry and charges its length, so copy it out
+	// of the buffer's spare capacity, which the charge would not cover.
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 // decodeFuncEntry reconstructs a cached function against the current front

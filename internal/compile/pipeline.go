@@ -44,19 +44,19 @@ const funcEntryOverhead = 128
 // function: optimization, code selection, then (per cfg) register
 // allocation and scheduling. It mutates f in place (optimization rewrites
 // the IR) and touches no other function, so distinct functions may be
-// compiled concurrently.
-func CompileFunc(f *ir.Func, cfg Config) (*mach.Func, error) {
-	opt.RunFunc(f, cfg.Opt)
+// compiled concurrently. It also reports the optimizer rounds f took.
+func CompileFunc(f *ir.Func, cfg Config) (*mach.Func, opt.Rounds, error) {
+	rounds := opt.RunFunc(f, cfg.Opt)
 	mf := lower.LowerFunc(f)
 	if cfg.RegAlloc {
 		if err := regalloc.AllocateFunc(mf); err != nil {
-			return nil, err
+			return nil, rounds, err
 		}
 	}
 	if cfg.Sched {
 		sched.ScheduleFunc(mf)
 	}
-	return mf, nil
+	return mf, rounds, nil
 }
 
 // PipelineConfig tunes a Pipeline.
@@ -77,6 +77,12 @@ type Metrics struct {
 	FuncsCompiled int           // back ends actually run
 	FuncsReused   int           // functions stitched from the cache
 	Duration      time.Duration // wall time of the whole Compile
+
+	// OptRounds and OptRoundsSkipped sum opt.Rounds over the compiled
+	// functions: optimizer rounds run, and rounds of the opt.MaxRounds
+	// cap skipped because a round reached a fixpoint.
+	OptRounds        int
+	OptRoundsSkipped int
 }
 
 // Pipeline compiles programs function-by-function over a bounded worker
@@ -146,12 +152,10 @@ func (p *Pipeline) Compile(name, src string, cfg Config) (*Result, Metrics, erro
 		sig = GlobalsSigOf(prog, cfg)
 	}
 
-	mfs := make([]*mach.Func, n)
-	reused := make([]bool, n)
-	errs := make([]error, n)
+	out := make([]funcResult, n)
 	if p.workers == 1 || n <= 1 {
 		for i, f := range prog.Funcs {
-			mfs[i], reused[i], errs[i] = p.compileOneSafe(sp, f, sig, cfg)
+			out[i] = p.compileOneSafe(sp, f, sig, cfg)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -161,26 +165,29 @@ func (p *Pipeline) Compile(name, src string, cfg Config) (*Result, Metrics, erro
 				defer wg.Done()
 				p.slots <- struct{}{}
 				defer func() { <-p.slots }()
-				mfs[i], reused[i], errs[i] = p.compileOneSafe(sp, f, sig, cfg)
+				out[i] = p.compileOneSafe(sp, f, sig, cfg)
 			}(i, f)
 		}
 		wg.Wait()
 	}
 
 	// First error in function order, matching the serial driver.
-	for _, err := range errs {
-		if err != nil {
-			return nil, m, err
+	for _, r := range out {
+		if r.err != nil {
+			return nil, m, r.err
 		}
 	}
 
 	mp := lower.NewProgram(prog)
-	mp.Funcs = mfs
-	for _, r := range reused {
-		if r {
+	mp.Funcs = make([]*mach.Func, n)
+	for i, r := range out {
+		mp.Funcs[i] = r.mf
+		if r.reused {
 			m.FuncsReused++
 		} else {
 			m.FuncsCompiled++
+			m.OptRounds += r.rounds.Run
+			m.OptRoundsSkipped += r.rounds.Skipped
 		}
 	}
 	m.Duration = time.Since(start)
@@ -196,21 +203,28 @@ func (p *Pipeline) Compile(name, src string, cfg Config) (*Result, Metrics, erro
 	return res, m, nil
 }
 
+// funcResult is one function's back-end outcome.
+type funcResult struct {
+	mf     *mach.Func
+	rounds opt.Rounds // zero when reused
+	reused bool
+	err    error
+}
+
 // compileOneSafe runs compileOne with panic containment: a panic in one
 // function's back end — a compiler bug, or the "compile.func" fault
 // point's injected panic — surfaces as that function's compile error
 // instead of killing the worker goroutine (and with it the whole
 // process). The pipeline then fails the one Compile call; the service
 // maps it to a compile-error response and stays up.
-func (p *Pipeline) compileOneSafe(sp *sem.Program, f *ir.Func, sig GlobalsSig, cfg Config) (mf *mach.Func, reused bool, err error) {
+func (p *Pipeline) compileOneSafe(sp *sem.Program, f *ir.Func, sig GlobalsSig, cfg Config) (r funcResult) {
 	defer func() {
-		if r := recover(); r != nil {
-			mf, reused = nil, false
-			err = fmt.Errorf("compile: panic compiling %s: %v", f.Name, r)
+		if v := recover(); v != nil {
+			r = funcResult{err: fmt.Errorf("compile: panic compiling %s: %v", f.Name, v)}
 		}
 	}()
 	if err := fault.Check("compile.func"); err != nil {
-		return nil, false, fmt.Errorf("compile: %s: %w", f.Name, err)
+		return funcResult{err: fmt.Errorf("compile: %s: %w", f.Name, err)}
 	}
 	return p.compileOne(sp, f, sig, cfg)
 }
@@ -218,18 +232,18 @@ func (p *Pipeline) compileOneSafe(sp *sem.Program, f *ir.Func, sig GlobalsSig, c
 // compileOne compiles or reuses one function. f must be freshly built
 // (pre-optimization) IR: the cache key is computed before the back end
 // mutates it, and on a cache hit f is left untouched.
-func (p *Pipeline) compileOne(sp *sem.Program, f *ir.Func, sig GlobalsSig, cfg Config) (*mach.Func, bool, error) {
+func (p *Pipeline) compileOne(sp *sem.Program, f *ir.Func, sig GlobalsSig, cfg Config) funcResult {
 	if p.funcs == nil {
-		mf, err := CompileFunc(f, cfg)
-		return mf, false, err
+		mf, rounds, err := CompileFunc(f, cfg)
+		return funcResult{mf: mf, rounds: rounds, err: err}
 	}
 	key := FuncKeyOf(f, sig)
 	// On a miss the computing caller keeps the live *mach.Func it just
 	// built (side channel), skipping an encode→decode round trip; only
 	// other compilations pay the decode.
-	var fresh *mach.Func
+	var fresh funcResult
 	data, hit, err := p.funcs.get(key, func() ([]byte, int64, error) {
-		mf, err := CompileFunc(f, cfg)
+		mf, rounds, err := CompileFunc(f, cfg)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -237,21 +251,21 @@ func (p *Pipeline) compileOne(sp *sem.Program, f *ir.Func, sig GlobalsSig, cfg C
 		if err != nil {
 			return nil, 0, err
 		}
-		fresh = mf
+		fresh = funcResult{mf: mf, rounds: rounds}
 		return enc, int64(len(enc)) + funcEntryOverhead, nil
 	})
 	if err != nil {
-		return nil, false, err
+		return funcResult{err: err}
 	}
 	if !hit {
-		return fresh, false, nil
+		return fresh
 	}
 	mf, err := decodeFuncEntry(data, sp)
 	if err != nil {
 		// A cache entry that fails to decode or verify against this front
 		// end is unusable here; compile instead. f is still pristine.
-		mf, err := CompileFunc(f, cfg)
-		return mf, false, err
+		mf, rounds, err := CompileFunc(f, cfg)
+		return funcResult{mf: mf, rounds: rounds, err: err}
 	}
-	return mf, true, nil
+	return funcResult{mf: mf, reused: true}
 }

@@ -232,8 +232,9 @@ func encFunc(f *mach.Func) (wireFunc, error) {
 	for _, o := range sortedObjs(f.VarLoc) {
 		wf.VarLoc = append(wf.VarLoc, wireVarLoc{Obj: encObj(o), Loc: f.VarLoc[o]})
 	}
+	wf.Blocks = make([]wireBlock, 0, len(f.Blocks))
 	for _, b := range f.Blocks {
-		wb := wireBlock{ID: b.ID, LoopDepth: b.LoopDepth}
+		wb := wireBlock{ID: b.ID, LoopDepth: b.LoopDepth, Instrs: make([]wireInstr, 0, len(b.Instrs))}
 		for _, s := range b.Succs {
 			idx, ok := blockIdx[s]
 			if !ok {

@@ -45,18 +45,26 @@ func NewBitSet(n int) *BitSet {
 	return &BitSet{words: make([]uint64, wordsFor(n)), n: n}
 }
 
+// NewBitSets makes count empty n-bit sets carved out of one allocation
+// of words and one of set headers.
+func NewBitSets(count, n int) []*BitSet {
+	words := wordsFor(n)
+	backing := make([]uint64, count*words)
+	slab := make([]BitSet, count)
+	sets := make([]*BitSet, count)
+	for i := range sets {
+		slab[i] = BitSet{words: backing[i*words : (i+1)*words : (i+1)*words], n: n}
+		sets[i] = &slab[i]
+	}
+	return sets
+}
+
 // wordsFor returns the number of 64-bit words backing an n-bit set.
 func wordsFor(n int) int { return (n + 63) / 64 }
 
 // SizeBytes reports the resident size of the set (header + backing words),
 // for memory-budget accounting.
 func (b *BitSet) SizeBytes() int64 { return 32 + int64(len(b.words))*8 }
-
-// bitSetOver wraps an existing word slice as an n-bit set, so callers
-// that build many same-sized sets (the solver, the classifier's
-// per-breakpoint tables) can carve them out of one allocation. The slice
-// must hold wordsFor(n) words; its current contents become the set.
-func bitSetOver(words []uint64, n int) *BitSet { return &BitSet{words: words, n: n} }
 
 // Len returns the set's capacity in bits.
 func (s *BitSet) Len() int { return s.n }

@@ -477,3 +477,41 @@ func TestSolverBackwardLiveness(t *testing.T) {
 		t.Error("x dead above the def")
 	}
 }
+
+// TestArenaReuse checks that an arena hands out empty sets of the right
+// size, serves a request past its storage from the heap, and after Reset
+// reuses its storage — grown to cover the whole previous cycle — for sets
+// that again start empty.
+func TestArenaReuse(t *testing.T) {
+	var a Arena
+	for cycle := 0; cycle < 3; cycle++ {
+		sets := a.BitSets(3, 100)
+		one := a.BitSet(70)
+		for _, s := range append(sets, one) {
+			if !s.Empty() {
+				t.Fatalf("cycle %d: fresh set not empty: %v", cycle, s)
+			}
+		}
+		if sets[0].Len() != 100 || one.Len() != 70 {
+			t.Fatalf("cycle %d: sizes %d, %d", cycle, sets[0].Len(), one.Len())
+		}
+		for i, s := range sets {
+			s.SetAll()
+			if s.Count() != 100 {
+				t.Fatalf("cycle %d: set %d holds %d bits after SetAll", cycle, i, s.Count())
+			}
+		}
+		one.Set(69)
+		if sets[2].Count() != 100 || one.Count() != 1 {
+			t.Fatalf("cycle %d: sets share storage", cycle)
+		}
+		a.Reset()
+	}
+	if got := len(a.words.buf); got != 3*2+2 {
+		t.Errorf("arena holds %d words after warm cycles, want %d", got, 3*2+2)
+	}
+	var nilArena *Arena
+	if s := nilArena.BitSet(10); s.Len() != 10 || !s.Empty() {
+		t.Error("nil arena must allocate empty sets from the heap")
+	}
+}

@@ -47,6 +47,9 @@ type Problem struct {
 	// Entries lists boundary blocks; for Forward it defaults to {0}, for
 	// Backward it defaults to all blocks with no successors.
 	Entries []int
+	// Arena, when non-nil, supplies the solution's sets; they are valid
+	// until the arena is Reset.
+	Arena *Arena
 }
 
 // Result holds the fixed-point solution.
@@ -71,11 +74,11 @@ type solverState struct {
 
 func (p *Problem) setup() *solverState {
 	n := p.Graph.N
-	st := &solverState{res: &Result{In: make([]*BitSet, n), Out: make([]*BitSet, n)}}
+	st := &solverState{}
 
 	st.boundary = p.Boundary
 	if st.boundary == nil {
-		st.boundary = NewBitSet(p.Bits)
+		st.boundary = p.Arena.BitSet(p.Bits)
 	}
 	st.entries = p.Entries
 	if st.entries == nil {
@@ -97,14 +100,11 @@ func (p *Problem) setup() *solverState {
 	// Initial values: for Intersect problems, interior sets start full
 	// (top); for Union they start empty (bottom). All 2n sets share one
 	// backing array, allocated in a single shot.
-	words := wordsFor(p.Bits)
-	backing := make([]uint64, 2*n*words)
-	for b := 0; b < n; b++ {
-		st.res.In[b] = bitSetOver(backing[(2*b)*words:(2*b+1)*words], p.Bits)
-		st.res.Out[b] = bitSetOver(backing[(2*b+1)*words:(2*b+2)*words], p.Bits)
-		if p.Meet == Intersect {
-			st.res.In[b].SetAll()
-			st.res.Out[b].SetAll()
+	sets := p.Arena.BitSets(2*n, p.Bits)
+	st.res = &Result{In: sets[:n:n], Out: sets[n:]}
+	if p.Meet == Intersect {
+		for _, s := range sets {
+			s.SetAll()
 		}
 	}
 
@@ -240,7 +240,7 @@ func (p *Problem) Solve() *Result {
 		inWork[b] = true
 	}
 	remaining := n
-	tmp := NewBitSet(p.Bits)
+	tmp := p.Arena.BitSet(p.Bits)
 	for remaining > 0 {
 		for _, b := range order {
 			if !inWork[b] {
@@ -270,7 +270,7 @@ func (p *Problem) SolveReference() *Result {
 	st := p.setup()
 	n := p.Graph.N
 	changed := true
-	tmp := NewBitSet(p.Bits)
+	tmp := p.Arena.BitSet(p.Bits)
 	for changed {
 		changed = false
 		for b := 0; b < n; b++ {

@@ -16,6 +16,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/ast"
@@ -105,20 +106,53 @@ func (o Operand) Same(p Operand) bool {
 	return true
 }
 
-// Key returns a string key identifying the operand within a function,
-// used to build expression keys for redundancy elimination.
-func (o Operand) Key() string {
+// OpdKey identifies an operand within a function for redundancy keys.
+// It is comparable, so passes use it (and ExprKey) directly as a map key.
+//
+// Keys fall into the same classes as the operands' spellings t<id>,
+// v<id>, #<int> and #<float>: a float constant spelled like an integer
+// (5.0 prints as "5") keys equal to that integer constant, and every NaN
+// keys alike. A Var is keyed by its object ID alone; the checker numbers a
+// function's locals densely, and Var operands only name that function's
+// locals, so the ID determines the object and its name.
+type OpdKey struct {
+	Kind OpdKind
+	V    int64 // temp number, object ID, integer value or float bits
+}
+
+// nanBits is the single key payload shared by every NaN.
+const nanBits = 0x7ff8000000000001
+
+// Key returns the operand's redundancy key.
+func (o Operand) Key() OpdKey {
 	switch o.Kind {
 	case Temp:
-		return fmt.Sprintf("t%d", o.TID)
+		return OpdKey{Temp, int64(o.TID)}
 	case Var:
-		return fmt.Sprintf("v%d.%s", o.Obj.ID, o.Obj.Name)
+		return OpdKey{Var, int64(o.Obj.ID)}
 	case ConstI:
-		return fmt.Sprintf("#%d", o.Int)
+		return OpdKey{ConstI, o.Int}
 	case ConstF:
-		return fmt.Sprintf("#%g", o.Fl)
+		f := o.Fl
+		switch {
+		case f != f:
+			return OpdKey{ConstF, nanBits}
+		case f == math.Trunc(f) && math.Abs(f) < 1e6 && !(f == 0 && math.Signbit(f)):
+			// %g prints integral floats below 1e6 without exponent or
+			// fraction, exactly as %d prints the integer.
+			return OpdKey{ConstI, int64(f)}
+		}
+		return OpdKey{ConstF, int64(math.Float64bits(f))}
 	}
-	return "_"
+	return OpdKey{}
+}
+
+// less is a total order on keys, used to canonicalize commutative operands.
+func (k OpdKey) less(l OpdKey) bool {
+	if k.Kind != l.Kind {
+		return k.Kind < l.Kind
+	}
+	return k.V < l.V
 }
 
 func (o Operand) String() string {
@@ -281,31 +315,58 @@ func (i *Instr) HasDst() bool { return i.Dst.Valid() }
 
 // Uses appends the operands read by the instruction to buf and returns it.
 func (i *Instr) Uses(buf []Operand) []Operand {
-	add := func(o Operand) {
-		if o.Kind == Temp || o.Kind == Var {
-			buf = append(buf, o)
-		}
-	}
 	switch i.Kind {
 	case BinOp, Store:
-		add(i.A)
-		add(i.B)
-	case UnOp, Copy, Load, Br:
-		add(i.A)
-	case Ret:
-		add(i.A)
+		buf = appendUse(appendUse(buf, i.A), i.B)
+	case UnOp, Copy, Load, Br, Ret:
+		buf = appendUse(buf, i.A)
 	case Call:
 		for _, a := range i.Args {
-			add(a)
+			buf = appendUse(buf, a)
 		}
 	case Print:
 		for _, a := range i.PrintFmt {
 			if !a.IsStr {
-				add(a.Val)
+				buf = appendUse(buf, a.Val)
 			}
 		}
 	}
 	return buf
+}
+
+// appendUse appends o to buf when it is a temp or variable.
+func appendUse(buf []Operand, o Operand) []Operand {
+	if o.Kind == Temp || o.Kind == Var {
+		buf = append(buf, o)
+	}
+	return buf
+}
+
+// Reads reports whether the instruction reads the temp or variable o, as
+// one of the operands Uses returns.
+func (i *Instr) Reads(o Operand) bool {
+	if o.Kind != Temp && o.Kind != Var {
+		return false
+	}
+	switch i.Kind {
+	case BinOp, Store:
+		return i.A.Same(o) || i.B.Same(o)
+	case UnOp, Copy, Load, Br, Ret:
+		return i.A.Same(o)
+	case Call:
+		for _, a := range i.Args {
+			if a.Same(o) {
+				return true
+			}
+		}
+	case Print:
+		for _, a := range i.PrintFmt {
+			if !a.IsStr && a.Val.Same(o) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ReplaceUses substitutes operand old with new in all use positions,
@@ -341,26 +402,38 @@ func (i *Instr) ReplaceUses(old, new Operand) int {
 	return n
 }
 
-// ExprKey returns a canonical string identifying the value computed by a
-// BinOp/UnOp/Copy/Load instruction, for redundancy detection. Commutative
-// operands are ordered canonically. Returns "" for instructions whose value
-// cannot be keyed (calls, loads — loads are not pure across stores).
-func (i *Instr) ExprKey() string {
+// ExprKey identifies the value computed by a BinOp/UnOp/Copy/Addr
+// instruction, for redundancy detection. Fields an instruction form does
+// not read are zero, so two instructions have equal keys exactly when they
+// compute the same expression.
+type ExprKey struct {
+	Kind Kind
+	Op   Op
+	A, B OpdKey
+	// Name is the Addr object's name. Globals and locals are numbered
+	// separately, so an Addr is keyed by object ID and name together.
+	Name string
+}
+
+// ExprKey returns the instruction's expression key; commutative operands
+// are ordered canonically. ok is false for instructions whose value cannot
+// be keyed (calls, and loads, which are not pure across stores).
+func (i *Instr) ExprKey() (k ExprKey, ok bool) {
 	switch i.Kind {
 	case BinOp:
 		a, b := i.A.Key(), i.B.Key()
-		if i.Op.IsCommutative() && b < a {
+		if i.Op.IsCommutative() && b.less(a) {
 			a, b = b, a
 		}
-		return fmt.Sprintf("%s %s %s", i.Op, a, b)
+		return ExprKey{Kind: BinOp, Op: i.Op, A: a, B: b}, true
 	case UnOp:
-		return fmt.Sprintf("%s %s", i.Op, i.A.Key())
+		return ExprKey{Kind: UnOp, Op: i.Op, A: i.A.Key()}, true
 	case Copy:
-		return fmt.Sprintf("copy %s", i.A.Key())
+		return ExprKey{Kind: Copy, A: i.A.Key()}, true
 	case Addr:
-		return fmt.Sprintf("addr v%d.%s", i.AddrObj.ID, i.AddrObj.Name)
+		return ExprKey{Kind: Addr, A: OpdKey{Var, int64(i.AddrObj.ID)}, Name: i.AddrObj.Name}, true
 	}
-	return ""
+	return ExprKey{}, false
 }
 
 // Clone returns a deep copy of the instruction (slices copied).

@@ -1,6 +1,9 @@
 package ir
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,22 +182,62 @@ func TestQuickOperandKeys(t *testing.T) {
 // commutative ops, and differs for non-commutative ones (when operands
 // differ).
 func TestQuickExprKeyCommutativity(t *testing.T) {
+	key := func(in *Instr) ExprKey {
+		k, _ := in.ExprKey()
+		return k
+	}
 	f := func(x, y uint8) bool {
 		a, b := TempOf(int(x), I), TempOf(int(y), I)
 		add1 := &Instr{Kind: BinOp, Op: Add, Dst: TempOf(100, I), A: a, B: b}
 		add2 := &Instr{Kind: BinOp, Op: Add, Dst: TempOf(101, I), A: b, B: a}
-		if add1.ExprKey() != add2.ExprKey() {
+		if key(add1) != key(add2) {
 			return false
 		}
 		sub1 := &Instr{Kind: BinOp, Op: Sub, Dst: TempOf(100, I), A: a, B: b}
 		sub2 := &Instr{Kind: BinOp, Op: Sub, Dst: TempOf(101, I), A: b, B: a}
-		if x != y && sub1.ExprKey() == sub2.ExprKey() {
+		if x != y && key(sub1) == key(sub2) {
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// constSpelling is the redundancy spelling constants had as string keys:
+// integer and float constants printing alike must key alike.
+func constSpelling(o Operand) string {
+	if o.Kind == ConstI {
+		return fmt.Sprintf("#%d", o.Int)
+	}
+	return fmt.Sprintf("#%g", o.Fl)
+}
+
+// Property: two constants have equal keys exactly when they print alike,
+// across the integer/float boundary (5 and 5.0 both print "#5").
+func TestConstKeysMatchSpelling(t *testing.T) {
+	consts := []Operand{CF(math.NaN()), CF(-math.NaN()), CF(math.Inf(1)), CF(math.Inf(-1)),
+		CF(0), CF(math.Copysign(0, -1)), CI(0), CI(-1), CF(-1)}
+	for _, v := range []float64{5, 0.5, 1e-5, 123456, 999999, 1e6, -999999, -1e6, 1e21, 2.5e-7, 1 << 53} {
+		consts = append(consts, CF(v), CF(math.Nextafter(v, 0)), CI(int64(v)))
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		n := r.Int63n(4_000_000) - 2_000_000
+		consts = append(consts, CI(n), CF(float64(n)), CF(float64(n)/8), CF(r.NormFloat64()*1e7))
+	}
+	spelled := map[string]OpdKey{}
+	keyed := map[OpdKey]string{}
+	for _, c := range consts {
+		k, sp := c.Key(), constSpelling(c)
+		if prev, ok := spelled[sp]; ok && prev != k {
+			t.Fatalf("%q keys as both %v and %v", sp, prev, k)
+		}
+		if prev, ok := keyed[k]; ok && prev != sp {
+			t.Fatalf("key %v covers both %q and %q", k, prev, sp)
+		}
+		spelled[sp], keyed[k] = k, sp
 	}
 }
 

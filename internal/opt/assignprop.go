@@ -22,9 +22,8 @@ func AssignProp(f *ir.Func) bool {
 	// Candidate assignments: X = E, X a promoted source var, E a pure
 	// computation (BinOp/UnOp over Const/Var/Temp, or a Copy of a simple
 	// operand) that does not read X.
-	table := newExprTable()
-	type candInfo struct{ in *ir.Instr }
-	var cands []candInfo
+	table := newExprTable[assignKey]()
+	var cands []*ir.Instr
 	isCand := func(in *ir.Instr) bool {
 		if !keyable(in) || in.Dst.Kind != ir.Var || selfRef(in) {
 			return false
@@ -35,65 +34,69 @@ func AssignProp(f *ir.Func) bool {
 		}
 		return false
 	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if isCand(in) {
-				if _, ok := table.lookup(assignKey(in)); !ok {
-					table.intern(assignKey(in), in)
-					// Snapshot the defining instruction NOW: later use
-					// replacements may rewrite the original in place
-					// (e.g. substituting an available copy into one of
-					// its operands), and re-materialization must clone
-					// the expression whose availability was analyzed,
-					// not the rewritten one.
-					cands = append(cands, candInfo{in: in.Clone()})
-				}
-			}
+	keyOf := func(in *ir.Instr) int32 {
+		if isCand(in) {
+			return table.lookup(assignKeyOf(in))
 		}
+		return -1
 	}
+	keys := indexKeys(f, "assign", func(in *ir.Instr) int32 {
+		if !isCand(in) {
+			return -1
+		}
+		ki, added := table.intern(assignKeyOf(in), in)
+		if added {
+			// Snapshot the defining instruction NOW: later use
+			// replacements may rewrite the original in place (e.g.
+			// substituting an available copy into one of its operands),
+			// and re-materialization must clone the expression whose
+			// availability was analyzed, not the rewritten one.
+			cands = append(cands, in.Clone())
+		}
+		return ki
+	})
 	if table.size() == 0 {
 		return false
 	}
-	km := buildKillMap(table, sp, true)
+	km := buildKillMap(table.sample, sp, true)
 	g, _ := graphOf(f)
-	keyOf := func(in *ir.Instr) (int, bool) {
-		if isCand(in) {
-			return table.lookup(assignKey(in))
-		}
-		return 0, false
-	}
-	gen, kill := genKillFor(f, g.N, table.size(), sp, km, keyOf)
+	a := getArena()
+	defer putArena(a)
+	gen, kill := genKillFor(f, table.size(), sp, km, keys, a)
 	must := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect,
-		Bits: table.size(), Gen: gen, Kill: kill}).Solve()
+		Bits: table.size(), Gen: gen, Kill: kill, Arena: a}).Solve()
 
 	// Per variable, the list of candidate keys assigning it.
-	keysForVar := map[int][]int{}
-	for ki, c := range cands {
-		keysForVar[sp.indexOf(c.in.Dst)] = append(keysForVar[sp.indexOf(c.in.Dst)], ki)
-	}
+	keysForVar := buildValueLists(sp.numVars, func(yield func(int, int32)) {
+		for ki, c := range cands {
+			yield(sp.indexOf(c.Dst), int32(ki))
+		}
+	})
 
 	changed := false
 	var buf []ir.Operand
+	avail := a.BitSet(table.size())
 	for bi, b := range f.Blocks {
-		avail := must.In[bi].Copy()
-		for pos := 0; pos < len(b.Instrs); pos++ {
+		avail.CopyFrom(must.In[bi])
+		ks := keys[bi]
+		for pos, oi := 0, 0; pos < len(b.Instrs); pos, oi = pos+1, oi+1 {
 			in := b.Instrs[pos]
 			if in.IsMarker() {
 				continue
 			}
 			// Find uses of candidate variables with an available
 			// defining assignment.
+			rewritten := false
 			buf = in.Uses(buf[:0])
 			for _, u := range buf {
 				if u.Kind != ir.Var {
 					continue
 				}
-				ui := sp.indexOf(u)
-				for _, ki := range keysForVar[ui] {
-					if !avail.Has(ki) {
+				for _, ki := range keysForVar.of(sp.indexOf(u)) {
+					if !avail.Has(int(ki)) {
 						continue
 					}
-					def := cands[ki].in
+					def := cands[ki]
 					if in == def {
 						break
 					}
@@ -110,17 +113,22 @@ func AssignProp(f *ir.Func) bool {
 					// the dead-marker operand recorded at DCE time.
 					if def.Kind == ir.Copy {
 						in.ReplaceUses(u, def.A)
-						changed = true
+						changed, rewritten = true, true
 						break
 					}
 					b.InsertBefore(pos, rm)
 					pos++
 					in.ReplaceUses(u, rm.Dst)
-					changed = true
+					changed, rewritten = true, true
 					break
 				}
 			}
-			stepAvail(avail, sp, km, in, table, keyOf)
+			// A rewritten instruction transfers under its new key.
+			key := ks[oi]
+			if rewritten {
+				key = keyOf(in)
+			}
+			stepAvail(avail, sp, km, in, key)
 		}
 	}
 	return changed

@@ -297,11 +297,13 @@ func CopyProp(f *ir.Func) bool {
 	return propagateAvailableCopies(f, false)
 }
 
+// copyKey is the availability key of a copy "X = Y".
+type copyKey struct{ Dst, Src ir.OpdKey }
+
 // propagateAvailableCopies implements both propagation passes over the
 // available-copies lattice. For constants==true it propagates X=const;
 // otherwise X=Y copies.
 func propagateAvailableCopies(f *ir.Func, constants bool) bool {
-	g, _ := graphOf(f)
 	sp := spaceOf(f)
 
 	// Collect candidate copy instructions.
@@ -309,33 +311,24 @@ func propagateAvailableCopies(f *ir.Func, constants bool) bool {
 		dst int // value index of X
 		src ir.Operand
 	}
-	table := newExprTable()
+	table := newExprTable[copyKey]()
 	var cands []cand
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Kind != ir.Copy || !in.HasDst() {
-				continue
-			}
-			di := sp.indexOf(in.Dst)
-			if di < 0 {
-				continue
-			}
-			if constants {
-				if !in.A.IsConst() {
-					continue
-				}
-			} else {
-				if in.A.Kind != ir.Temp && in.A.Kind != ir.Var {
-					continue
-				}
-			}
-			key := in.Dst.Key() + "=" + in.A.Key()
-			if _, ok := table.lookup(key); !ok {
-				table.intern(key, in)
-				cands = append(cands, cand{dst: di, src: in.A})
-			}
+	keyOf := func(in *ir.Instr) int32 {
+		if isCopyCand(sp, in, constants) {
+			return table.lookup(copyKey{in.Dst.Key(), in.A.Key()})
 		}
+		return -1
 	}
+	keys := indexKeys(f, "copy", func(in *ir.Instr) int32 {
+		if !isCopyCand(sp, in, constants) {
+			return -1
+		}
+		ci, added := table.intern(copyKey{in.Dst.Key(), in.A.Key()}, in)
+		if added {
+			cands = append(cands, cand{dst: sp.indexOf(in.Dst), src: in.A})
+		}
+		return ci
+	})
 	if len(cands) == 0 {
 		return false
 	}
@@ -344,90 +337,78 @@ func propagateAvailableCopies(f *ir.Func, constants bool) bool {
 	// of Y, and at calls for values calls may change (none here: vars and
 	// temps are private to the function, so calls kill nothing).
 	nb := table.size()
-	gen := make([]*dataflow.BitSet, g.N)
-	kill := make([]*dataflow.BitSet, g.N)
-	killedBy := map[int][]int{}
-	for ci, c := range cands {
-		killedBy[c.dst] = append(killedBy[c.dst], ci)
-		if si := sp.indexOf(c.src); si >= 0 {
-			killedBy[si] = append(killedBy[si], ci)
-		}
-	}
-	for bi, b := range f.Blocks {
-		gen[bi] = dataflow.NewBitSet(nb)
-		kill[bi] = dataflow.NewBitSet(nb)
-		for _, in := range b.Instrs {
-			if in.HasDst() {
-				if di := sp.indexOf(in.Dst); di >= 0 {
-					for _, ci := range killedBy[di] {
-						gen[bi].Clear(ci)
-						kill[bi].Set(ci)
-					}
-				}
-			}
-			if ci, ok := copyCandIndex(table, sp, in, constants); ok {
-				gen[bi].Set(ci)
-				kill[bi].Clear(ci)
+	killedBy := buildValueLists(sp.size(), func(yield func(int, int32)) {
+		for ci, c := range cands {
+			yield(c.dst, int32(ci))
+			if si := sp.indexOf(c.src); si >= 0 {
+				yield(si, int32(ci))
 			}
 		}
-	}
+	})
+	// Per destination value, its candidates in table order.
+	byDst := buildValueLists(sp.size(), func(yield func(int, int32)) {
+		for ci, c := range cands {
+			yield(c.dst, int32(ci))
+		}
+	})
+	a := getArena()
+	defer putArena(a)
+	gen, kill := genKillFor(f, nb, sp, &killMap{killedBy: killedBy}, keys, a)
+	g, _ := graphOf(f)
 	p := dataflow.Problem{
 		Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect, Bits: nb,
-		Gen: gen, Kill: kill,
+		Gen: gen, Kill: kill, Arena: a,
 	}
 	res := p.Solve()
 
 	// Walk each block with the incoming available set, replacing uses.
 	changed := false
 	var buf []ir.Operand
+	avail := a.BitSet(nb)
 	for bi, b := range f.Blocks {
-		avail := res.In[bi].Copy()
-		for _, in := range b.Instrs {
+		avail.CopyFrom(res.In[bi])
+		for pos, in := range b.Instrs {
 			// Replace uses whose source value has an available copy.
+			rewritten := false
 			buf = in.Uses(buf[:0])
 			for _, u := range buf {
-				ui := sp.indexOf(u)
-				if ui < 0 {
-					continue
-				}
-				for ci, c := range cands {
-					if c.dst != ui || !avail.Has(ci) {
+				for _, ci := range byDst.of(sp.indexOf(u)) {
+					if !avail.Has(int(ci)) {
 						continue
 					}
-					if in.ReplaceUses(u, c.src) > 0 {
-						changed = true
+					if in.ReplaceUses(u, cands[ci].src) > 0 {
+						changed, rewritten = true, true
 					}
 					break
 				}
 			}
-			// Transfer function.
+			// Transfer function; a rewritten copy transfers under its new
+			// key.
 			if in.HasDst() {
-				if di := sp.indexOf(in.Dst); di >= 0 {
-					for _, ci := range killedBy[di] {
-						avail.Clear(ci)
-					}
+				for _, ci := range killedBy.of(sp.indexOf(in.Dst)) {
+					avail.Clear(int(ci))
 				}
 			}
-			if ci, ok := copyCandIndex(table, sp, in, constants); ok {
-				avail.Set(ci)
+			key := keys[bi][pos]
+			if rewritten {
+				key = keyOf(in)
+			}
+			if key >= 0 {
+				avail.Set(int(key))
 			}
 		}
 	}
 	return changed
 }
 
-func copyCandIndex(t *exprTable, sp valueSpace, in *ir.Instr, constants bool) (int, bool) {
-	if in.Kind != ir.Copy || !in.HasDst() {
-		return 0, false
+// isCopyCand reports whether in is a propagation candidate: a copy into a
+// var or temp of a constant (constants) or of a var or temp (!constants).
+func isCopyCand(sp valueSpace, in *ir.Instr, constants bool) bool {
+	if in.Kind != ir.Copy || !in.HasDst() || sp.indexOf(in.Dst) < 0 {
+		return false
 	}
-	if sp.indexOf(in.Dst) < 0 {
-		return 0, false
+	if constants {
+		return in.A.IsConst()
 	}
-	if constants && !in.A.IsConst() {
-		return 0, false
-	}
-	if !constants && in.A.Kind != ir.Temp && in.A.Kind != ir.Var {
-		return 0, false
-	}
-	return t.lookup(in.Dst.Key() + "=" + in.A.Key())
+	return in.A.Kind == ir.Temp || in.A.Kind == ir.Var
 }

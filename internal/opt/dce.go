@@ -14,50 +14,62 @@ import (
 // anything changed.
 func DCE(f *ir.Func) bool {
 	changedAny := false
+	var buf []ir.Operand
+	a := getArena()
+	defer putArena(a)
 	for {
+		a.Reset() // the previous sweep's liveness is dead
 		changed := false
-		lv := computeLiveness(f)
+		lv := computeLiveness(f, a)
+		cur := a.BitSet(lv.space.size())
 		for bi, b := range f.Blocks {
-			after := lv.liveAfter(f, bi)
+			// Walk backwards with cur = values live just after b.Instrs[i].
+			// Liveness is that of the block as it was before this sweep:
+			// a deleted instruction still transfers.
+			cur.CopyFrom(lv.LiveOut[bi])
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := b.Instrs[i]
-				if !removableKind(in) || !in.HasDst() {
-					continue
-				}
-				k := lv.space.indexOf(in.Dst)
-				if k < 0 || after[i].Has(k) {
-					continue
-				}
-				// Dead assignment. Synthetic entry code (Stmt < 0) is
-				// markerized too: a parameter field's initialization is a
-				// source-level binding, and deleting it without a marker
-				// would make the debugger call the field uninitialized.
-				if in.Dst.Kind == ir.Var && !in.Ann.Hoisted && !in.Ann.Sunk {
-					m := &ir.Instr{
-						Kind:    ir.MarkDead,
-						MarkObj: in.Dst.Obj,
-						Stmt:    in.Stmt,
-						OrigIdx: in.OrigIdx,
+				if removableKind(in) && in.HasDst() {
+					if k := lv.space.indexOf(in.Dst); k >= 0 && !cur.Has(k) {
+						deadAssignment(b, i)
+						changed = true
+						changedAny = true
 					}
-					// Record the eliminated right-hand side when it is a
-					// simple operand: the debugger can then *recover* the
-					// expected value (constant residence, or alias while
-					// the source operand is unchanged).
-					if in.Kind == ir.Copy {
-						m.A = in.A
-					}
-					b.Instrs[i] = m
-				} else {
-					b.RemoveAt(i)
 				}
-				changed = true
-				changedAny = true
+				buf = lv.stepBack(cur, in, buf)
 			}
 		}
 		if !changed {
 			return changedAny
 		}
 	}
+}
+
+// deadAssignment deletes the dead assignment b.Instrs[i]. Per §3 an
+// assignment to a source variable leaves a MarkDead marker, unless it was
+// itself inserted by hoisting or sinking. Synthetic entry code (Stmt < 0)
+// is markerized too: a parameter field's initialization is a source-level
+// binding, and deleting it without a marker would make the debugger call
+// the field uninitialized.
+func deadAssignment(b *ir.Block, i int) {
+	in := b.Instrs[i]
+	if in.Dst.Kind != ir.Var || in.Ann.Hoisted || in.Ann.Sunk {
+		b.RemoveAt(i)
+		return
+	}
+	m := &ir.Instr{
+		Kind:    ir.MarkDead,
+		MarkObj: in.Dst.Obj,
+		Stmt:    in.Stmt,
+		OrigIdx: in.OrigIdx,
+	}
+	// Record the eliminated right-hand side when it is a simple operand:
+	// the debugger can then *recover* the expected value (constant
+	// residence, or alias while the source operand is unchanged).
+	if in.Kind == ir.Copy {
+		m.A = in.A
+	}
+	b.Instrs[i] = m
 }
 
 // removableKind reports whether in has no side effects besides its Dst.
@@ -81,7 +93,16 @@ func FaintDCE(f *ir.Func) bool {
 
 	// strong[k]: value k is read by some needed instruction.
 	strong := make([]bool, sp.size())
-	needed := map[*ir.Instr]bool{}
+	// needed[bi][i] marks b.Instrs[i] of block bi.
+	needed := make([][]bool, len(f.Blocks))
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+	}
+	flat := make([]bool, n)
+	for bi, b := range f.Blocks {
+		needed[bi], flat = flat[:len(b.Instrs)], flat[len(b.Instrs):]
+	}
 	var buf []ir.Operand
 
 	sideEffecting := func(in *ir.Instr) bool {
@@ -94,9 +115,9 @@ func FaintDCE(f *ir.Func) bool {
 
 	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if needed[in] {
+		for bi, b := range f.Blocks {
+			for i, in := range b.Instrs {
+				if needed[bi][i] {
 					continue
 				}
 				need := sideEffecting(in)
@@ -108,7 +129,7 @@ func FaintDCE(f *ir.Func) bool {
 					}
 				}
 				if need {
-					needed[in] = true
+					needed[bi][i] = true
 					changed = true
 					buf = in.Uses(buf[:0])
 					for _, u := range buf {
@@ -122,26 +143,13 @@ func FaintDCE(f *ir.Func) bool {
 	}
 
 	removed := false
-	for _, b := range f.Blocks {
+	for bi, b := range f.Blocks {
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
-			if needed[in] || !removableKind(in) || !in.HasDst() {
+			if needed[bi][i] || !removableKind(in) || !in.HasDst() {
 				continue
 			}
-			if in.Dst.Kind == ir.Var && !in.Ann.Hoisted && !in.Ann.Sunk {
-				m := &ir.Instr{
-					Kind:    ir.MarkDead,
-					MarkObj: in.Dst.Obj,
-					Stmt:    in.Stmt,
-					OrigIdx: in.OrigIdx,
-				}
-				if in.Kind == ir.Copy {
-					m.A = in.A
-				}
-				b.Instrs[i] = m
-			} else {
-				b.RemoveAt(i)
-			}
+			deadAssignment(b, i)
 			removed = true
 		}
 	}
@@ -198,7 +206,7 @@ func ValidateMarkers(f *ir.Func) {
 	// Writes are never killed — only whether a write has happened matters,
 	// not which one (a re-definition is handled by the debugger's clobber
 	// analysis).
-	entry := idx[f.Entry]
+	entry, _ := idx.of(f.Entry)
 	ins := make([]*dataflow.BitSet, n)
 	outs := make([]*dataflow.BitSet, n)
 	for i := 0; i < n; i++ {

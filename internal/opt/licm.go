@@ -24,7 +24,9 @@ func LICM(f *ir.Func) bool {
 		return false
 	}
 	dom := dataflow.Dominators(g, 0)
-	lv := computeLiveness(f)
+	a := getArena()
+	defer putArena(a)
+	lv := computeLiveness(f, a)
 	sp := spaceOf(f)
 
 	changed := false
@@ -45,7 +47,7 @@ func LICM(f *ir.Func) bool {
 			// CFG changed (preheader inserted); recompute for the rest.
 			g, _ = graphOf(f)
 			dom = dataflow.Dominators(g, 0)
-			lv = computeLiveness(f)
+			lv = computeLiveness(f, a)
 		}
 	}
 	return changed

@@ -18,8 +18,11 @@ import (
 // insertion point, and the moved computations are pure.
 func PDCE(f *ir.Func) bool {
 	changed := false
+	a := getArena()
+	defer putArena(a)
 	for round := 0; round < 4; round++ {
-		lv := computeLiveness(f)
+		a.Reset() // the previous round's liveness is dead
+		lv := computeLiveness(f, a)
 		sp := lv.space
 		roundChanged := false
 
@@ -139,14 +142,10 @@ func sinkable(in *ir.Instr) bool {
 // usedOrKilledBelow reports whether operand o is read or written by any
 // instruction in b at positions [from, len).
 func usedOrKilledBelow(b *ir.Block, from int, o ir.Operand, sp valueSpace) bool {
-	var buf []ir.Operand
 	for i := from; i < len(b.Instrs); i++ {
 		in := b.Instrs[i]
-		buf = in.Uses(buf[:0])
-		for _, u := range buf {
-			if u.Same(o) {
-				return true
-			}
+		if in.Reads(o) {
+			return true
 		}
 		if in.HasDst() && in.Dst.Same(o) {
 			return true

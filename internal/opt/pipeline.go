@@ -55,86 +55,126 @@ func Run(p *ir.Program, o Options) {
 	}
 }
 
-// RunFunc runs the pipeline on one function. The pass order mirrors cmcc's
-// pipeline as reconstructed from the paper: propagation feeds PRE, PRE's
-// hoisted assignments can be sunk again by PDCE, and DCE performs the final
-// cleanup (including induction variables orphaned by LFTR).
+// pass is one entry of an ordered pass list: a name for diagnostics, the
+// option predicate that enables it, and the pass itself, which reports
+// whether it changed the function.
+type pass struct {
+	name    string
+	enabled func(Options) bool
+	run     func(*ir.Func) bool
+}
+
+// cleanupPasses run after each loop restructuring and once after the
+// rounds.
+var cleanupPasses = []pass{
+	{"constfold", func(o Options) bool { return o.ConstFold }, ConstFold},
+	{"constprop", func(o Options) bool { return o.ConstProp }, ConstProp},
+	{"branchopt", func(o Options) bool { return o.BranchOpt }, BranchOpt},
+}
+
+// restructurePasses reshape loops ahead of the rounds, each followed by a
+// cleanup.
+var restructurePasses = []pass{
+	{"loopinvert", func(o Options) bool { return o.LoopInvert }, LoopInvert},
+	{"unroll", func(o Options) bool { return o.Unroll }, Unroll},
+	{"peel", func(o Options) bool { return o.Peel }, Peel},
+}
+
+// roundPasses is one optimizer round. The order mirrors cmcc's pipeline as
+// reconstructed from the paper: propagation feeds PRE, PRE's hoisted
+// assignments can be sunk again by PDCE, and DCE performs the cleanup
+// (including induction variables orphaned by LFTR).
+var roundPasses = []pass{
+	{"assignprop", func(o Options) bool { return o.AssignProp }, AssignProp},
+	{"copyprop", func(o Options) bool { return o.CopyProp }, CopyProp},
+	{"constprop", func(o Options) bool { return o.ConstProp }, ConstProp},
+	{"constfold", func(o Options) bool { return o.ConstFold }, ConstFold},
+	{"pre", func(o Options) bool { return o.PRE }, PRE},
+	{"copyprop", func(o Options) bool { return o.CopyProp }, CopyProp},
+	{"licm", func(o Options) bool { return o.LICM }, LICM},
+	{"strength", func(o Options) bool { return o.Strength }, StrengthReduce},
+	{"copyprop", func(o Options) bool { return o.Strength && o.CopyProp }, CopyProp},
+	{"pdce", func(o Options) bool { return o.PDCE }, PDCE},
+	{"dce", func(o Options) bool { return o.DCE }, DCE},
+	{"faintdce", func(o Options) bool { return o.DCE }, FaintDCE},
+	{"branchopt", func(o Options) bool { return o.BranchOpt }, BranchOpt},
+}
+
+// MaxRounds caps the optimizer rounds per function. A few functions are
+// still changing in the last round; the cap keeps their code as it was
+// when every function ran exactly MaxRounds rounds.
+const MaxRounds = 3
+
+// Rounds reports how many optimizer rounds ran on a function (Run) and
+// how many of the MaxRounds were skipped because a round changed nothing
+// (Skipped). Both are zero when no round pass is enabled.
+type Rounds struct{ Run, Skipped int }
+
+// runPasses runs every enabled pass of the list in order and reports
+// whether any of them changed f.
+func runPasses(f *ir.Func, o Options, passes []pass) bool {
+	changed := false
+	for _, p := range passes {
+		if p.enabled(o) && p.run(f) {
+			changed = true
+		}
+	}
+	return changed
+}
+
+// anyEnabled reports whether o enables some pass of the list.
+func anyEnabled(o Options, passes []pass) bool {
+	for _, p := range passes {
+		if p.enabled(o) {
+			return true
+		}
+	}
+	return false
+}
+
+// RunFunc runs the pipeline on one function: SROA, loop restructuring,
+// then up to MaxRounds rounds of roundPasses, stopping after the first
+// round in which no pass reports a change (the next round would start
+// from the same function and change nothing either), then a final
+// cleanup.
 //
 // RunFunc touches only f (and reads the shared, immutable global objects its
 // operands reference), so distinct functions may be optimized concurrently.
-func RunFunc(f *ir.Func, o Options) {
+func RunFunc(f *ir.Func, o Options) Rounds {
+	prologue(f, o)
+	var r Rounds
+	if anyEnabled(o, roundPasses) {
+		for r.Run < MaxRounds {
+			r.Run++
+			if !runPasses(f, o, roundPasses) {
+				break
+			}
+		}
+		r.Skipped = MaxRounds - r.Run
+	}
+	epilogue(f, o)
+	return r
+}
+
+// prologue runs the passes ahead of the rounds.
+func prologue(f *ir.Func, o Options) {
 	// SROA must run first: it rewrites aggregate memory traffic into the
 	// member-variable assignments every scalar pass below understands.
 	if o.SROA {
 		SROA(f)
 	}
+	runPasses(f, o, cleanupPasses)
+	for _, p := range restructurePasses {
+		if p.enabled(o) {
+			p.run(f)
+			runPasses(f, o, cleanupPasses)
+		}
+	}
+}
 
-	cleanup := func() {
-		if o.ConstFold {
-			ConstFold(f)
-		}
-		if o.ConstProp {
-			ConstProp(f)
-		}
-		if o.BranchOpt {
-			BranchOpt(f)
-		}
-	}
-
-	cleanup()
-	if o.LoopInvert {
-		LoopInvert(f)
-		cleanup()
-	}
-	if o.Unroll {
-		Unroll(f)
-		cleanup()
-	}
-	if o.Peel {
-		Peel(f)
-		cleanup()
-	}
-
-	for round := 0; round < 3; round++ {
-		if o.AssignProp {
-			AssignProp(f)
-		}
-		if o.CopyProp {
-			CopyProp(f)
-		}
-		if o.ConstProp {
-			ConstProp(f)
-		}
-		if o.ConstFold {
-			ConstFold(f)
-		}
-		if o.PRE {
-			PRE(f)
-		}
-		if o.CopyProp {
-			CopyProp(f)
-		}
-		if o.LICM {
-			LICM(f)
-		}
-		if o.Strength {
-			StrengthReduce(f)
-			if o.CopyProp {
-				CopyProp(f)
-			}
-		}
-		if o.PDCE {
-			PDCE(f)
-		}
-		if o.DCE {
-			DCE(f)
-			FaintDCE(f)
-		}
-		if o.BranchOpt {
-			BranchOpt(f)
-		}
-	}
-	cleanup()
+// epilogue runs the passes after the rounds.
+func epilogue(f *ir.Func, o Options) {
+	runPasses(f, o, cleanupPasses)
 	if o.DCE {
 		DCE(f)
 		FaintDCE(f)

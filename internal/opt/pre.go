@@ -35,11 +35,15 @@ func PRE(f *ir.Func) bool {
 		}
 		changed = true
 	}
+	// The loop runs while CSE removes or inserts computations; a call
+	// that only routes occurrences through canonical temps still counts
+	// as a change.
 	for i := 0; i < 8; i++ {
-		if !cseTemps(f) {
+		c, progress := cseTemps(f)
+		changed = changed || c
+		if !progress {
 			break
 		}
-		changed = true
 	}
 	return changed
 }
@@ -56,70 +60,59 @@ func keyable(in *ir.Instr) bool {
 
 // selfRef reports whether in reads its own destination (e.g. x = x + 1);
 // such assignments never generate availability of their key.
-func selfRef(in *ir.Instr) bool {
-	var buf []ir.Operand
-	buf = in.Uses(buf)
-	for _, u := range buf {
-		if u.Same(in.Dst) {
-			return true
-		}
-	}
-	return false
+func selfRef(in *ir.Instr) bool { return in.Reads(in.Dst) }
+
+// assignKey is the availability key of a source-var assignment "V = E".
+type assignKey struct {
+	Dst ir.OpdKey
+	E   ir.ExprKey
 }
 
-// assignKey returns the availability key for a source-var assignment.
-func assignKey(in *ir.Instr) string { return in.Dst.Key() + " := " + in.ExprKey() }
+func assignKeyOf(in *ir.Instr) assignKey {
+	e, _ := in.ExprKey()
+	return assignKey{Dst: in.Dst.Key(), E: e}
+}
 
 // preVarAssignments implements layer 1.
 func preVarAssignments(f *ir.Func) bool {
 	sp := spaceOf(f)
+	a := getArena()
+	defer putArena(a)
 
 	// Collect assignment keys.
-	table := newExprTable()
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if keyable(in) && in.Dst.Kind == ir.Var && !selfRef(in) && in.Kind != ir.Copy {
-				table.intern(assignKey(in), in)
-			}
+	table := newExprTable[assignKey]()
+	keys := indexKeys(f, "assign", func(in *ir.Instr) int32 {
+		if keyable(in) && in.Dst.Kind == ir.Var && !selfRef(in) && in.Kind != ir.Copy {
+			i, _ := table.intern(assignKeyOf(in), in)
+			return i
 		}
-	}
+		return -1
+	})
 	if table.size() == 0 {
 		return false
 	}
-	km := buildKillMap(table, sp, true) // defs of V and of E's operands kill
+	km := buildKillMap(table.sample, sp, true) // defs of V and of E's operands kill
 
-	g, _ := graphOf(f)
-	gen, kill := genKillFor(f, g.N, table.size(), sp, km, func(in *ir.Instr) (int, bool) {
-		if keyable(in) && in.Dst.Kind == ir.Var && !selfRef(in) && in.Kind != ir.Copy {
-			return table.lookup(assignKey(in))
-		}
-		return 0, false
-	})
+	g, bidx := graphOf(f)
+	gen, kill := genKillFor(f, table.size(), sp, km, keys, a)
 
 	must := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect,
-		Bits: table.size(), Gen: gen, Kill: kill}).Solve()
+		Bits: table.size(), Gen: gen, Kill: kill, Arena: a}).Solve()
 	may := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Union,
-		Bits: table.size(), Gen: gen, Kill: kill}).Solve()
+		Bits: table.size(), Gen: gen, Kill: kill, Arena: a}).Solve()
 
 	changed := false
-	type insertion struct {
-		from, to *ir.Block
-		instr    *ir.Instr
-	}
 	var inserts []insertion
 
+	avail, pav := a.BitSet(table.size()), a.BitSet(table.size())
 	for bi, b := range f.Blocks {
-		avail := must.In[bi].Copy()
-		pav := may.In[bi].Copy()
+		avail.CopyFrom(must.In[bi])
+		pav.CopyFrom(may.In[bi])
 		for pos := 0; pos < len(b.Instrs); pos++ {
 			in := b.Instrs[pos]
-			isCand := keyable(in) && in.Dst.Kind == ir.Var && !selfRef(in) && in.Kind != ir.Copy
-			var key int
-			if isCand {
-				key, _ = table.lookup(assignKey(in))
-			}
-			if isCand && !in.Ann.Hoisted && !in.Ann.Sunk {
-				if avail.Has(key) {
+			key := keys[bi][pos]
+			if key >= 0 && !in.Ann.Hoisted && !in.Ann.Sunk {
+				if avail.Has(int(key)) {
 					// Fully redundant source assignment: delete, leaving an
 					// availability marker (§3, "code deletion").
 					b.Instrs[pos] = &ir.Instr{
@@ -131,59 +124,70 @@ func preVarAssignments(f *ir.Func) bool {
 					changed = true
 					continue // marker has no transfer effect
 				}
-				if pav.Has(key) && upwardExposed(b, pos, sp, km, key) && len(b.Preds) > 1 {
+				if pav.Has(int(key)) && upwardExposed(b, pos, sp, km, key) && len(b.Preds) > 1 {
 					// Partially redundant: insert hoisted copies on the
 					// incoming edges that lack availability.
-					for _, p := range b.Preds {
-						pi := blockIndex(f, p)
-						if must.Out[pi].Has(key) {
-							continue
-						}
-						h := in.Clone()
-						h.Ann.Hoisted = true
-						h.Ann.InsertedBy = "pre"
-						h.OrigIdx = f.NextOrig()
-						inserts = append(inserts, insertion{from: p, to: b, instr: h})
-					}
+					inserts = hoistOnEdges(f, inserts, b, in, bidx, must.Out, key)
 				}
 			}
 			// Transfer.
-			stepAvail(avail, sp, km, in, table, func(x *ir.Instr) (int, bool) {
-				if keyable(x) && x.Dst.Kind == ir.Var && !selfRef(x) && x.Kind != ir.Copy {
-					return table.lookup(assignKey(x))
-				}
-				return 0, false
-			})
-			stepAvail(pav, sp, km, in, table, func(x *ir.Instr) (int, bool) {
-				if keyable(x) && x.Dst.Kind == ir.Var && !selfRef(x) && x.Kind != ir.Copy {
-					return table.lookup(assignKey(x))
-				}
-				return 0, false
-			})
+			stepAvail(avail, sp, km, in, key)
+			stepAvail(pav, sp, km, in, key)
 		}
 	}
 
+	if insertAll(f, inserts) {
+		changed = true
+	}
+	return changed
+}
+
+// insertion is a hoisted instruction to place on the edge from -> to.
+type insertion struct {
+	from, to *ir.Block
+	instr    *ir.Instr
+}
+
+// hoistOnEdges appends, for every predecessor of b whose exit lacks key,
+// a hoisted clone of in to be placed on that incoming edge.
+func hoistOnEdges(f *ir.Func, inserts []insertion, b *ir.Block, in *ir.Instr,
+	bidx blockPos, out []*dataflow.BitSet, key int32) []insertion {
+	for _, p := range b.Preds {
+		if pi, ok := bidx.of(p); !ok || out[pi].Has(int(key)) {
+			continue
+		}
+		h := in.Clone()
+		h.Ann.Hoisted = true
+		h.Ann.InsertedBy = "pre"
+		h.OrigIdx = f.NextOrig()
+		inserts = append(inserts, insertion{from: p, to: b, instr: h})
+	}
+	return inserts
+}
+
+// insertAll places the collected edge insertions, reporting whether there
+// were any.
+func insertAll(f *ir.Func, inserts []insertion) bool {
 	for _, ins := range inserts {
 		insertOnEdge(f, ins.from, ins.to, ins.instr)
-		changed = true
 	}
 	if len(inserts) > 0 {
 		f.RecomputePreds()
 	}
-	return changed
+	return len(inserts) > 0
 }
 
 // upwardExposed reports whether the key's operands and destination are not
 // redefined in b before position pos (so edge insertion is equivalent to
 // executing the assignment at pos).
-func upwardExposed(b *ir.Block, pos int, sp valueSpace, km *killMap, key int) bool {
+func upwardExposed(b *ir.Block, pos int, sp valueSpace, km *killMap, key int32) bool {
 	for i := 0; i < pos; i++ {
 		in := b.Instrs[i]
 		if !in.HasDst() {
 			continue
 		}
 		if di := sp.indexOf(in.Dst); di >= 0 {
-			for _, e := range km.killedBy[di] {
+			for _, e := range km.killedBy.of(di) {
 				if e == key {
 					return false
 				}
@@ -193,57 +197,45 @@ func upwardExposed(b *ir.Block, pos int, sp valueSpace, km *killMap, key int) bo
 	return true
 }
 
-// genKillFor builds per-block gen/kill sets for an availability problem
-// over nb expression keys.
-func genKillFor(f *ir.Func, nBlocks, nb int, sp valueSpace, km *killMap,
-	keyOf func(*ir.Instr) (int, bool)) (gen, kill []*dataflow.BitSet) {
-	gen = make([]*dataflow.BitSet, nBlocks)
-	kill = make([]*dataflow.BitSet, nBlocks)
+// genKillFor builds per-block gen/kill sets from a for an availability
+// problem over nb expression keys, given each instruction's key index.
+func genKillFor(f *ir.Func, nb int, sp valueSpace, km *killMap, keys keyIndex, a *dataflow.Arena) (gen, kill []*dataflow.BitSet) {
+	sets := a.BitSets(2*len(f.Blocks), nb)
+	gen, kill = sets[:len(f.Blocks)], sets[len(f.Blocks):]
 	for bi, b := range f.Blocks {
-		gen[bi] = dataflow.NewBitSet(nb)
-		kill[bi] = dataflow.NewBitSet(nb)
-		for _, in := range b.Instrs {
+		for pos, in := range b.Instrs {
 			if in.HasDst() {
 				if di := sp.indexOf(in.Dst); di >= 0 {
-					for _, e := range km.killedBy[di] {
-						gen[bi].Clear(e)
-						kill[bi].Set(e)
+					for _, e := range km.killedBy.of(di) {
+						gen[bi].Clear(int(e))
+						kill[bi].Set(int(e))
 					}
 				}
 			}
-			if k, ok := keyOf(in); ok {
-				gen[bi].Set(k)
-				kill[bi].Clear(k)
+			if k := keys[bi][pos]; k >= 0 {
+				gen[bi].Set(int(k))
+				kill[bi].Clear(int(k))
 			}
 		}
 	}
 	return gen, kill
 }
 
-// stepAvail applies one instruction's transfer to an availability set.
-func stepAvail(s *dataflow.BitSet, sp valueSpace, km *killMap, in *ir.Instr,
-	_ *exprTable, keyOf func(*ir.Instr) (int, bool)) {
+// stepAvail applies one instruction's transfer to an availability set;
+// key is the instruction's key index, or -1.
+func stepAvail(s *dataflow.BitSet, sp valueSpace, km *killMap, in *ir.Instr, key int32) {
 	if in.HasDst() {
 		if di := sp.indexOf(in.Dst); di >= 0 {
-			for _, e := range km.killedBy[di] {
-				if e < s.Len() {
-					s.Clear(e)
+			for _, e := range km.killedBy.of(di) {
+				if int(e) < s.Len() {
+					s.Clear(int(e))
 				}
 			}
 		}
 	}
-	if k, ok := keyOf(in); ok && k < s.Len() {
-		s.Set(k)
+	if key >= 0 && int(key) < s.Len() {
+		s.Set(int(key))
 	}
-}
-
-func blockIndex(f *ir.Func, b *ir.Block) int {
-	for i, x := range f.Blocks {
-		if x == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // insertOnEdge places instr on the edge from -> to: appended at the end of
@@ -264,76 +256,103 @@ func insertOnEdge(f *ir.Func, from, to *ir.Block, instr *ir.Instr) {
 // ---------------------------------------------------------------- layer 2
 
 // cseTemps implements layer 2: expression CSE/PRE through canonical temps.
-func cseTemps(f *ir.Func) bool {
+// progress reports whether a recomputation was removed or a hoisted one
+// inserted; changed additionally covers routing occurrences through their
+// canonical temps.
+func cseTemps(f *ir.Func) (changed, progress bool) {
 	sp := spaceOf(f)
+	a := getArena()
+	defer putArena(a)
 
-	// Count occurrences per expression key (temp or var destinations both
-	// supply values; only multi-occurrence keys are worth a canonical temp).
-	counts := map[string]int{}
-	samples := map[string]*ir.Instr{}
+	// Key every candidate once. Classes are numbered in first-occurrence
+	// order, which is also the table's deterministic interning order.
+	// Temp or var destinations both supply values; only multi-occurrence
+	// keys are worth a canonical temp.
+	type class struct {
+		count  int
+		sample *ir.Instr
+		// dst is the temp every occurrence writes (e.g. from a previous
+		// CSE round), or NoOpd once destinations differ.
+		dst ir.Operand
+	}
+	n := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if keyable(in) && in.Kind != ir.Copy {
-				k := in.ExprKey()
-				counts[k]++
-				if samples[k] == nil {
-					samples[k] = in
-				}
+				n++
 			}
 		}
 	}
-	table := newExprTable()
-	for _, b := range f.Blocks { // deterministic interning order
-		for _, in := range b.Instrs {
-			if keyable(in) && in.Kind != ir.Copy {
-				if k := in.ExprKey(); counts[k] >= 2 {
-					table.intern(k, samples[k])
-				}
-			}
+	classOf := make(map[ir.ExprKey]int32, n)
+	classes := make([]class, 0, n)
+	keys := indexKeys(f, "expr", func(in *ir.Instr) int32 {
+		if !keyable(in) || in.Kind == ir.Copy {
+			return -1
+		}
+		k, _ := in.ExprKey()
+		c, ok := classOf[k]
+		if !ok {
+			c = int32(len(classes))
+			classOf[k] = c
+			classes = append(classes, class{sample: in, dst: in.Dst})
+		} else if d := classes[c].dst; !d.Same(in.Dst) || in.Dst.Kind != ir.Temp {
+			classes[c].dst = ir.Operand{}
+		}
+		classes[c].count++
+		return c
+	})
+	tableIdx := make([]int32, len(classes))
+	var samples []*ir.Instr
+	var canon []ir.Operand
+	for c := range classes {
+		tableIdx[c] = -1
+		if classes[c].count >= 2 {
+			tableIdx[c] = int32(len(samples))
+			samples = append(samples, classes[c].sample)
 		}
 	}
-	if table.size() == 0 {
-		return false
+	if len(samples) == 0 {
+		return false, false
 	}
 
 	// Canonical temp per key. When every occurrence of a key already
-	// writes the same temp (e.g. from a previous CSE round), reuse it —
-	// otherwise each round would wrap another copy layer around the value.
-	sharedDst := map[string]ir.Operand{}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if keyable(in) && in.Kind != ir.Copy {
-				k := in.ExprKey()
-				if counts[k] < 2 {
-					continue
-				}
-				if prev, seen := sharedDst[k]; !seen {
-					sharedDst[k] = in.Dst
-				} else if !prev.Same(in.Dst) || in.Dst.Kind != ir.Temp {
-					sharedDst[k] = ir.Operand{} // mixed destinations
-				}
-			}
+	// writes the same temp, reuse it — otherwise each round would wrap
+	// another copy layer around the value.
+	for c := range classes {
+		if tableIdx[c] < 0 {
+			continue
 		}
-	}
-	canon := make([]ir.Operand, table.size())
-	for i, s := range table.sample {
-		if d := sharedDst[table.keys[i]]; d.Kind == ir.Temp {
-			canon[i] = d
+		if d := classes[c].dst; d.Kind == ir.Temp {
+			canon = append(canon, d)
 		} else {
-			canon[i] = f.NewTemp(s.Dst.Ty)
+			canon = append(canon, f.NewTemp(classes[c].sample.Dst.Ty))
 		}
 	}
 
 	// Rewrite every occurrence "d = E" (d != canon) into
 	// "hE = E; d = copy hE" so availability implies the value sits in hE.
-	for _, b := range f.Blocks {
-		for pos := 0; pos < len(b.Instrs); pos++ {
-			in := b.Instrs[pos]
-			if !keyable(in) || in.Kind == ir.Copy {
-				continue
+	// Afterwards keys[bi][pos] is the table index of every keyed
+	// occurrence, all of which write their canonical temp.
+	for bi, b := range f.Blocks {
+		var instrs []*ir.Instr // rebuilt only once the block is rewritten
+		var ks []int32
+		for pos, in := range b.Instrs {
+			key := keys[bi][pos]
+			if key >= 0 {
+				key = tableIdx[key]
 			}
-			key, ok := table.lookup(in.ExprKey())
-			if !ok || in.Dst.Same(canon[key]) {
+			rewrite := key >= 0 && !in.Dst.Same(canon[key])
+			if rewrite && instrs == nil {
+				instrs = append(make([]*ir.Instr, 0, len(b.Instrs)+4), b.Instrs[:pos]...)
+				ks = append(make([]int32, 0, len(b.Instrs)+4), keys[bi][:pos]...)
+			}
+			if instrs != nil {
+				instrs = append(instrs, in)
+				ks = append(ks, key)
+			} else {
+				keys[bi][pos] = key
+			}
+			if !rewrite {
 				continue
 			}
 			// Replace in place: in becomes hE = E; a copy follows.
@@ -344,76 +363,63 @@ func cseTemps(f *ir.Func) bool {
 			cp.Ann = in.Ann
 			cp.Ann.InsertedBy = "cse"
 			in.Dst = canon[key]
-			b.InsertBefore(pos+1, cp)
-			pos++
+			instrs = append(instrs, cp)
+			ks = append(ks, -1)
+			changed = true
+		}
+		if instrs != nil {
+			b.Instrs, keys[bi] = instrs, ks
+		}
+	}
+	// Self-referencing computations never make their key available.
+	for bi, b := range f.Blocks {
+		for pos, in := range b.Instrs {
+			if keys[bi][pos] >= 0 && selfRef(in) {
+				keys[bi][pos] = -1
+			}
 		}
 	}
 
 	// Availability of keys now means "canon[key] holds the value".
-	km := buildKillMap(table, sp, false)
-	g, _ := graphOf(f)
-	keyOf := func(in *ir.Instr) (int, bool) {
-		if keyable(in) && in.Kind != ir.Copy && !selfRef(in) {
-			if k, ok := table.lookup(in.ExprKey()); ok && in.Dst.Same(canon[k]) {
-				return k, true
-			}
-		}
-		return 0, false
-	}
-	gen, kill := genKillFor(f, g.N, table.size(), sp, km, keyOf)
+	km := buildKillMap(samples, sp, false)
+	g, bidx := graphOf(f)
+	gen, kill := genKillFor(f, len(samples), sp, km, keys, a)
 	must := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect,
-		Bits: table.size(), Gen: gen, Kill: kill}).Solve()
+		Bits: len(samples), Gen: gen, Kill: kill, Arena: a}).Solve()
 	may := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Union,
-		Bits: table.size(), Gen: gen, Kill: kill}).Solve()
+		Bits: len(samples), Gen: gen, Kill: kill, Arena: a}).Solve()
 
-	changed := false
-	type insertion struct {
-		from, to *ir.Block
-		instr    *ir.Instr
-	}
 	var inserts []insertion
-
+	avail, pav := a.BitSet(len(samples)), a.BitSet(len(samples))
 	for bi, b := range f.Blocks {
-		avail := must.In[bi].Copy()
-		pav := may.In[bi].Copy()
+		avail.CopyFrom(must.In[bi])
+		pav.CopyFrom(may.In[bi])
+		ks := keys[bi]
 		for pos := 0; pos < len(b.Instrs); pos++ {
 			in := b.Instrs[pos]
-			key, isCand := keyOf(in)
-			if isCand && !in.Ann.Hoisted {
-				if avail.Has(key) {
+			key := ks[pos]
+			if key >= 0 && !in.Ann.Hoisted {
+				if avail.Has(int(key)) {
 					// hE already holds the value: drop the recomputation.
 					// Temps are invisible to the user, so no marker is
 					// needed; but keep recovery annotations alive by
 					// moving them to the following copy if present.
 					b.RemoveAt(pos)
+					ks = append(ks[:pos], ks[pos+1:]...)
 					pos--
-					changed = true
+					progress = true
 					continue
 				}
-				if pav.Has(key) && upwardExposed(b, pos, sp, km, key) && len(b.Preds) > 1 {
-					for _, p := range b.Preds {
-						pi := blockIndex(f, p)
-						if pi < 0 || must.Out[pi].Has(key) {
-							continue
-						}
-						h := in.Clone()
-						h.Ann.Hoisted = true
-						h.Ann.InsertedBy = "pre"
-						h.OrigIdx = f.NextOrig()
-						inserts = append(inserts, insertion{from: p, to: b, instr: h})
-					}
+				if pav.Has(int(key)) && upwardExposed(b, pos, sp, km, key) && len(b.Preds) > 1 {
+					inserts = hoistOnEdges(f, inserts, b, in, bidx, must.Out, key)
 				}
 			}
-			stepAvail(avail, sp, km, in, table, keyOf)
-			stepAvail(pav, sp, km, in, table, keyOf)
+			stepAvail(avail, sp, km, in, key)
+			stepAvail(pav, sp, km, in, key)
 		}
 	}
-	for _, ins := range inserts {
-		insertOnEdge(f, ins.from, ins.to, ins.instr)
-		changed = true
+	if insertAll(f, inserts) {
+		progress = true
 	}
-	if len(inserts) > 0 {
-		f.RecomputePreds()
-	}
-	return changed
+	return changed || progress, progress
 }

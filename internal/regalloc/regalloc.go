@@ -19,6 +19,7 @@ package regalloc
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/ast"
 	"repro/internal/dataflow"
@@ -65,7 +66,7 @@ func (a *allocator) run(class mach.RegClass, k int) error {
 				break
 			}
 		}
-		toSpill := g.color(k)
+		toSpill := g.colorGraph(k)
 		if len(toSpill) == 0 {
 			a.rewrite(g, class, spilled)
 			return nil
@@ -113,12 +114,10 @@ func KeyReg(k int) (int, mach.RegClass) { return k / 2, mach.RegClass(k % 2) }
 func Liveness(f *mach.Func) ([]*dataflow.BitSet, []*dataflow.BitSet) {
 	g := machGraph(f)
 	n := 2 * (f.NumVregs + mach.NumIntRegs + mach.NumFloatRegs + 2)
-	use := make([]*dataflow.BitSet, g.N)
-	def := make([]*dataflow.BitSet, g.N)
+	sets := dataflow.NewBitSets(2*g.N, n)
+	use, def := sets[:g.N], sets[g.N:]
 	var buf []mach.Opd
 	for i, b := range f.Blocks {
-		use[i] = dataflow.NewBitSet(n)
-		def[i] = dataflow.NewBitSet(n)
 		for _, in := range b.Instrs {
 			buf = in.Uses(buf[:0])
 			for _, o := range buf {
@@ -139,40 +138,83 @@ func Liveness(f *mach.Func) ([]*dataflow.BitSet, []*dataflow.BitSet) {
 
 // ---------------------------------------------------------------- graph
 
+// igraph is the interference graph of one register class. Nodes are vreg
+// numbers below n; every per-node table is a dense slice indexed by vreg,
+// and adjacency is a bit matrix of n rows.
 type igraph struct {
-	f      *mach.Func
-	class  mach.RegClass
-	nodes  map[int]bool
-	adj    map[int]map[int]bool
-	cost   map[int]float64
-	colors map[int]int
+	n      int
+	words  int      // uint64 words per adjacency row
+	isNode []bool   // vreg occurs in the class
+	adj    []uint64 // row v holds v's neighbors
+	deg    []int    // neighbor count
+	cost   []float64
+	colors []int // assigned color, or -1
+}
+
+func newIgraph(n int) *igraph {
+	words := (n + 63) / 64
+	g := &igraph{
+		n: n, words: words,
+		isNode: make([]bool, n),
+		adj:    make([]uint64, n*words),
+		deg:    make([]int, n),
+		cost:   make([]float64, n),
+		colors: make([]int, n),
+	}
+	for i := range g.colors {
+		g.colors[i] = -1
+	}
+	return g
+}
+
+func (g *igraph) row(v int) []uint64 { return g.adj[v*g.words : (v+1)*g.words] }
+
+func (g *igraph) interferes(x, y int) bool { return g.adj[x*g.words+y/64]&(1<<(y%64)) != 0 }
+
+func (g *igraph) addEdge(x, y int) {
+	if x == y || g.interferes(x, y) {
+		return
+	}
+	g.isNode[x], g.isNode[y] = true, true
+	g.adj[x*g.words+y/64] |= 1 << (y % 64)
+	g.adj[y*g.words+x/64] |= 1 << (x % 64)
+	g.deg[x]++
+	g.deg[y]++
+}
+
+// forEachBit calls fn for every set bit of row in increasing order.
+func forEachBit(row []uint64, fn func(int)) {
+	for w, word := range row {
+		for word != 0 {
+			fn(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+}
+
+// color returns the vreg's color, or -1 when it has none.
+func (g *igraph) color(v int) int {
+	if v < 0 || v >= g.n {
+		return -1
+	}
+	return g.colors[v]
 }
 
 func (a *allocator) buildGraph(class mach.RegClass) *igraph {
 	f := a.f
-	g := &igraph{
-		f: f, class: class,
-		nodes: map[int]bool{}, adj: map[int]map[int]bool{},
-		cost: map[int]float64{}, colors: map[int]int{},
-	}
-	addNode := func(r int) {
-		if !g.nodes[r] {
-			g.nodes[r] = true
-			g.adj[r] = map[int]bool{}
+	n := f.NumVregs
+	var buf []mach.Opd
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, o := range in.Uses(buf[:0]) {
+				n = max(n, o.R+1)
+			}
+			n = max(n, in.Def().R+1)
 		}
 	}
-	addEdge := func(x, y int) {
-		if x == y {
-			return
-		}
-		addNode(x)
-		addNode(y)
-		g.adj[x][y] = true
-		g.adj[y][x] = true
-	}
+	g := newIgraph(n)
 
 	// Node discovery and spill costs (weighted by loop depth).
-	var buf []mach.Opd
 	for _, b := range f.Blocks {
 		w := math.Pow(10, float64(b.LoopDepth))
 		for _, in := range b.Instrs {
@@ -182,10 +224,11 @@ func (a *allocator) buildGraph(class mach.RegClass) *igraph {
 			}
 			for _, o := range ops {
 				if o.Class == class {
-					addNode(o.R)
+					g.isNode[o.R] = true
 					g.cost[o.R] += w
 				}
 			}
+			buf = ops
 		}
 	}
 
@@ -205,7 +248,7 @@ func (a *allocator) buildGraph(class mach.RegClass) *igraph {
 					if in.Op == mach.MOV && in.A.IsReg() && in.A.Class == class && in.A.R == l {
 						return
 					}
-					addEdge(d.R, l)
+					g.addEdge(d.R, l)
 				})
 			}
 			if d.IsReg() {
@@ -220,8 +263,6 @@ func (a *allocator) buildGraph(class mach.RegClass) *igraph {
 	return g
 }
 
-func (g *igraph) degree(n int) int { return len(g.adj[n]) }
-
 // ---------------------------------------------------------------- coalesce
 
 // coalesce merges one batch of temp-to-temp moves using the Briggs
@@ -230,6 +271,7 @@ func (g *igraph) degree(n int) int { return len(g.adj[n]) }
 func (a *allocator) coalesce(g *igraph, class mach.RegClass, k int) bool {
 	f := a.f
 	merged := false
+	union := make([]uint64, g.words)
 	for _, b := range f.Blocks {
 		for pos := 0; pos < len(b.Instrs); pos++ {
 			in := b.Instrs[pos]
@@ -253,23 +295,20 @@ func (a *allocator) coalesce(g *igraph, class mach.RegClass, k int) bool {
 			if in.Ann.ReplacedVar != nil || in.Ann.Recover != nil {
 				continue
 			}
-			if g.adj[dst][src] {
+			if g.interferes(dst, src) {
 				continue
 			}
 			// Briggs: merged node must have < k significant neighbors.
 			sig := 0
-			seen := map[int]bool{}
-			for n := range g.adj[dst] {
-				seen[n] = true
-				if g.degree(n) >= k {
+			rd, rs := g.row(dst), g.row(src)
+			for w := range union {
+				union[w] = rd[w] | rs[w]
+			}
+			forEachBit(union, func(n int) {
+				if g.deg[n] >= k {
 					sig++
 				}
-			}
-			for n := range g.adj[src] {
-				if !seen[n] && g.degree(n) >= k {
-					sig++
-				}
-			}
+			})
 			if sig >= k {
 				continue
 			}
@@ -291,27 +330,35 @@ func (a *allocator) coalesce(g *igraph, class mach.RegClass, k int) bool {
 
 // ---------------------------------------------------------------- color
 
-// color runs simplify/select with optimistic coloring; returns the list of
-// vregs that must be spilled (empty on success, in which case g.colors maps
-// every node to a physical register number).
-func (g *igraph) color(k int) []int {
+// colorGraph runs simplify/select with optimistic coloring; returns the
+// list of vregs that must be spilled (empty on success, in which case
+// g.colors maps every node to a physical register number).
+func (g *igraph) colorGraph(k int) []int {
 	// Working copies.
-	deg := map[int]int{}
-	removed := map[int]bool{}
-	for n := range g.nodes {
-		deg[n] = g.degree(n)
+	deg := append([]int(nil), g.deg...)
+	removed := make([]bool, g.n)
+	stack := make([]int, 0, g.n)
+	remaining := 0
+	for _, isNode := range g.isNode {
+		if isNode {
+			remaining++
+		}
 	}
-	var stack []int
-	remaining := len(g.nodes)
+	// Every node below low is removed or has degree >= k, so simplify
+	// scans upward from low for the lowest-numbered low-degree node.
+	low := 0
 
 	removeNode := func(n int) {
 		removed[n] = true
 		remaining--
-		for m := range g.adj[n] {
+		forEachBit(g.row(n), func(m int) {
 			if !removed[m] {
 				deg[m]--
+				if deg[m] == k-1 && m < low {
+					low = m
+				}
 			}
-		}
+		})
 		stack = append(stack, n)
 	}
 
@@ -319,32 +366,24 @@ func (g *igraph) color(k int) []int {
 		// Simplify: pick any node with degree < k (deterministic order:
 		// lowest vreg number).
 		pick := -1
-		for n := 0; ; n++ {
-			if pick >= 0 || n > maxNode(g.nodes) {
+		for ; low < g.n; low++ {
+			if g.isNode[low] && !removed[low] && deg[low] < k {
+				pick = low
 				break
-			}
-			if g.nodes[n] && !removed[n] && deg[n] < k {
-				pick = n
 			}
 		}
 		if pick < 0 {
-			// Potential spill: lowest cost/degree.
-			best := -1
+			// Potential spill: lowest cost/degree, ties to the lowest vreg.
 			bestScore := math.Inf(1)
-			for n := range g.nodes {
-				if removed[n] {
+			for n := 0; n < g.n; n++ {
+				if !g.isNode[n] || removed[n] {
 					continue
 				}
-				d := deg[n]
-				if d == 0 {
-					d = 1
-				}
-				score := g.cost[n] / float64(d)
-				if score < bestScore || (score == bestScore && (best == -1 || n < best)) {
-					best, bestScore = n, score
+				d := max(deg[n], 1)
+				if score := g.cost[n] / float64(d); pick < 0 || score < bestScore {
+					pick, bestScore = n, score
 				}
 			}
-			pick = best
 		}
 		removeNode(pick)
 	}
@@ -353,36 +392,20 @@ func (g *igraph) color(k int) []int {
 	var spills []int
 	for i := len(stack) - 1; i >= 0; i-- {
 		n := stack[i]
-		used := map[int]bool{}
-		for m := range g.adj[n] {
-			if c, ok := g.colors[m]; ok {
-				used[c] = true
+		var used uint64
+		forEachBit(g.row(n), func(m int) {
+			if c := g.colors[m]; c >= 0 {
+				used |= 1 << c
 			}
-		}
-		c := -1
-		for x := 0; x < k; x++ {
-			if !used[x] {
-				c = x
-				break
-			}
-		}
-		if c < 0 {
+		})
+		c := bits.TrailingZeros64(^used)
+		if c >= k {
 			spills = append(spills, n)
 			continue
 		}
 		g.colors[n] = c
 	}
 	return spills
-}
-
-func maxNode(nodes map[int]bool) int {
-	mx := -1
-	for n := range nodes {
-		if n > mx {
-			mx = n
-		}
-	}
-	return mx
 }
 
 // ---------------------------------------------------------------- spill
@@ -497,7 +520,7 @@ func (a *allocator) rewrite(g *igraph, class mach.RegClass, spilled map[int]int6
 	a.pruneStaleAliases(class)
 	phys := func(o *mach.Opd) {
 		if o.Kind == mach.Reg && o.Class == class {
-			if c, ok := g.colors[o.R]; ok {
+			if c := g.color(o.R); c >= 0 {
 				o.R = c
 			} else {
 				// Unconstrained (never live simultaneously with anything,
@@ -525,7 +548,7 @@ func (a *allocator) rewrite(g *igraph, class mach.RegClass, spilled map[int]int6
 			// through a register: drop it rather than point at a wrong
 			// physical register.
 			if in.MarkAlias.Kind == mach.Reg && in.MarkAlias.Class == class {
-				if c, ok := g.colors[in.MarkAlias.R]; ok {
+				if c := g.color(in.MarkAlias.R); c >= 0 {
 					in.MarkAlias.R = c
 				} else {
 					in.MarkAlias = mach.Opd{}
@@ -545,7 +568,7 @@ func (a *allocator) rewrite(g *igraph, class mach.RegClass, spilled map[int]int6
 		}
 		if off, ok := spilled[vid]; ok {
 			f.VarLoc[obj] = mach.Loc{Kind: mach.LocSpill, Class: class, Off: off}
-		} else if c, ok := g.colors[vid]; ok {
+		} else if c := g.color(vid); c >= 0 {
 			f.VarLoc[obj] = mach.Loc{Kind: mach.LocReg, Class: class, R: c}
 		} else {
 			f.VarLoc[obj] = mach.Loc{Kind: mach.LocNone}

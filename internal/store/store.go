@@ -540,11 +540,16 @@ const (
 )
 
 // resolve completes an in-flight entry with its value or error, charges
-// its cost, updates the hit/miss counters, and runs eviction.
+// its cost, updates the hit/miss counters, and runs eviction. A completed
+// entry moves to the front of the LRU order first: it was created when
+// its compute started, so entries that completed meanwhile sit ahead of
+// it, and eviction must not pick the entry its own resolve just finished.
+// The entry completes under the shard lock so no other resolve can evict
+// it in between.
 func (s *Store[M, V]) resolve(sh *shard[M, V], e *entry[M, V], v V, cost int64, err error, kind resolveKind) {
+	sh.mu.Lock()
 	e.val, e.err = v, err
 	close(e.done)
-	sh.mu.Lock()
 	if err != nil {
 		sh.misses++
 		if cur, ok := sh.index[e.m]; ok && cur == e {
@@ -566,6 +571,7 @@ func (s *Store[M, V]) resolve(sh *shard[M, V], e *entry[M, V], v V, cost int64, 
 	e.cost = cost
 	sh.bytes += cost
 	sh.byID[e.id] = e
+	sh.order.MoveToFront(e.elem)
 	victims := sh.evictLocked()
 	sh.mu.Unlock()
 	s.spill(sh, victims)

@@ -5,6 +5,7 @@ import (
 	"hash/maphash"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -321,4 +322,44 @@ func TestShardedStoreConcurrentBudgetInvariant(t *testing.T) {
 	if st := s.Stats(); st.MemoryBytes > budget {
 		t.Fatalf("final accounted bytes %d exceed budget %d", st.MemoryBytes, budget)
 	}
+}
+
+// TestResolveDoesNotEvictItsOwnEntry pins the LRU refresh on resolve. The
+// shard's order is creation order until an entry is touched, so a slow
+// compute finishing after newer entries completed used to be the oldest
+// completed entry at its own resolve and got evicted there: the compile
+// returned an id that LookupID could not find.
+func TestResolveDoesNotEvictItsOwnEntry(t *testing.T) {
+	s := newTestStore(t, Config[ident, string]{Shards: 1, MaxEntries: 2})
+	slow := func(name string, release <-chan struct{}, done chan<- struct{}) {
+		m := ident{Name: name, Body: "body-of-" + name}
+		go func() {
+			defer close(done)
+			s.Get(m, func() string { return "id-" + name }, func() (string, int64, error) {
+				<-release
+				return "value-of-" + name, 1, nil
+			})
+		}()
+	}
+	waitInFlight := func(n int) {
+		for s.Stats().Entries != n {
+			runtime.Gosched()
+		}
+	}
+
+	releaseA, doneA := make(chan struct{}), make(chan struct{})
+	slow("A", releaseA, doneA)
+	waitInFlight(1)
+	get(t, s, "B", 1)
+	get(t, s, "C", 1) // evicts B: A is in flight
+	releaseD, doneD := make(chan struct{}), make(chan struct{})
+	slow("D", releaseD, doneD)
+	waitInFlight(3)
+	close(releaseA)
+	<-doneA
+	if v, ok := s.LookupID("id-A"); !ok || v != "value-of-A" {
+		t.Fatalf("LookupID(A) after its own resolve = %q, %v; want the value", v, ok)
+	}
+	close(releaseD)
+	<-doneD
 }
