@@ -81,7 +81,7 @@ func encodeFuncEntry(f *mach.Func) ([]byte, error) {
 	w := wireFuncEntry{
 		Version: spillVersion,
 		Func:    wf,
-		Sum:     sha256.Sum256([]byte(f.String())),
+		Sum:     sha256.Sum256(f.AppendTo(nil)),
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
@@ -108,7 +108,7 @@ func decodeFuncEntry(data []byte, p *sem.Program) (*mach.Func, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sum := sha256.Sum256([]byte(f.String())); sum != w.Sum {
+	if sum := sha256.Sum256(f.AppendTo(nil)); sum != w.Sum {
 		return nil, fmt.Errorf("funccache: machine-code digest mismatch for %s", f.Name)
 	}
 	return f, nil

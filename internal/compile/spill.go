@@ -177,7 +177,7 @@ func EncodeSpill(cfg Config, res *Result) ([]byte, error) {
 		Src:        res.File.Content,
 		Cfg:        cfg,
 		GlobalSize: res.Mach.GlobalSize,
-		MachSum:    sha256.Sum256([]byte(res.Mach.String())),
+		MachSum:    sha256.Sum256(res.Mach.AppendTo(nil)),
 	}
 	for _, g := range res.Mach.Globals {
 		w.Globals = append(w.Globals, encObj(g))
@@ -332,7 +332,7 @@ func DecodeSpill(data []byte) (res *Result, name, src string, cfg Config, err er
 		}
 		mp.Funcs = append(mp.Funcs, f)
 	}
-	if sum := sha256.Sum256([]byte(mp.String())); sum != w.MachSum {
+	if sum := sha256.Sum256(mp.AppendTo(nil)); sum != w.MachSum {
 		return nil, "", "", Config{}, fmt.Errorf("spill: machine-code digest mismatch (stale or corrupt artifact)")
 	}
 	return &Result{File: p.File.Source, Sem: p, Mach: mp}, w.Name, w.Src, w.Cfg, nil

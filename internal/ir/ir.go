@@ -410,9 +410,11 @@ type ExprKey struct {
 	Kind Kind
 	Op   Op
 	A, B OpdKey
-	// Name is the Addr object's name. Globals and locals are numbered
-	// separately, so an Addr is keyed by object ID and name together.
-	Name string
+	// Name and Global complete an Addr's object identity. Globals and a
+	// function's locals are numbered separately, so a local shadowing a
+	// global can share its ID and name; only the scope tells them apart.
+	Name   string
+	Global bool
 }
 
 // ExprKey returns the instruction's expression key; commutative operands
@@ -431,7 +433,8 @@ func (i *Instr) ExprKey() (k ExprKey, ok bool) {
 	case Copy:
 		return ExprKey{Kind: Copy, A: i.A.Key()}, true
 	case Addr:
-		return ExprKey{Kind: Addr, A: OpdKey{Var, int64(i.AddrObj.ID)}, Name: i.AddrObj.Name}, true
+		o := i.AddrObj
+		return ExprKey{Kind: Addr, A: OpdKey{Var, int64(o.ID)}, Name: o.Name, Global: o.Kind == ast.ObjGlobal}, true
 	}
 	return ExprKey{}, false
 }

@@ -12,7 +12,7 @@ package mach
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 
 	"repro/internal/ast"
@@ -186,19 +186,22 @@ func (o Opd) IsReg() bool { return o.Kind == Reg }
 // Same reports operand identity.
 func (o Opd) Same(p Opd) bool { return o == p }
 
-func (o Opd) String() string {
+func (o Opd) String() string { return string(o.AppendTo(nil)) }
+
+// AppendTo appends the operand's rendering (String's text) to b.
+func (o Opd) AppendTo(b []byte) []byte {
 	switch o.Kind {
 	case Reg:
 		if o.Class == FloatClass {
-			return fmt.Sprintf("f%d", o.R)
+			return strconv.AppendInt(append(b, 'f'), int64(o.R), 10)
 		}
-		return fmt.Sprintf("r%d", o.R)
+		return strconv.AppendInt(append(b, 'r'), int64(o.R), 10)
 	case Imm:
-		return fmt.Sprintf("%d", o.Imm)
+		return strconv.AppendInt(b, o.Imm, 10)
 	case FImm:
-		return fmt.Sprintf("%g", o.F)
+		return strconv.AppendFloat(b, o.F, 'g', -1, 64)
 	}
-	return "_"
+	return append(b, '_')
 }
 
 // Instr is one machine instruction.
@@ -341,75 +344,108 @@ func (i *Instr) Clone() *Instr {
 	return &c
 }
 
-func (i *Instr) String() string {
-	ann := ""
-	if i.Ann.Hoisted {
-		ann += " !hoisted"
-	}
-	if i.Ann.Sunk {
-		ann += " !sunk"
-	}
-	if i.Ann.ReplacedVar != nil {
-		ann += " !replaces:" + i.Ann.ReplacedVar.Name
-	}
-	if i.Ann.Recover != nil {
-		ann += fmt.Sprintf(" !recover:%s", i.Ann.Recover.Var.Name)
-	}
-	stmt := ""
-	if i.Stmt >= 0 {
-		stmt = fmt.Sprintf("  ; s%d", i.Stmt)
-	}
+func (i *Instr) String() string { return string(i.AppendTo(nil)) }
+
+// AppendTo appends the instruction's assembly rendering (String's text)
+// to b: the single renderer behind dumps, golden digests and the
+// machine-code checksums of the function cache and spill codec.
+func (i *Instr) AppendTo(b []byte) []byte {
+	ann := true
 	switch i.Op {
+	case NOP:
+		return append(b, "nop"...)
 	case MOV, NEG, NOT, FNEG, CVTIF, CVTFI:
-		return fmt.Sprintf("%s %s, %s%s%s", i.Op, i.Dst, i.A, stmt, ann)
+		b = i.Dst.AppendTo(append(append(b, i.Op.String()...), ' '))
+		b = i.A.AppendTo(append(b, ", "...))
 	case LA:
-		return fmt.Sprintf("la %s, %s%s%s", i.Dst, i.Sym.Name, stmt, ann)
-	case LW, FLW:
-		return fmt.Sprintf("%s %s, %d(%s)%s%s", i.Op, i.Dst, i.Off, i.A, stmt, ann)
-	case SW, FSW:
-		return fmt.Sprintf("%s %s, %d(%s)%s%s", i.Op, i.B, i.Off, i.A, stmt, ann)
-	case LWFP, FLWFP:
-		return fmt.Sprintf("%s %s, %d(fp)%s%s", i.Op, i.Dst, i.Off, stmt, ann)
-	case SWFP, FSWFP:
-		return fmt.Sprintf("%s %s, %d(fp)%s%s", i.Op, i.B, i.Off, stmt, ann)
+		b = i.Dst.AppendTo(append(b, "la "...))
+		b = append(append(b, ", "...), i.Sym.Name...)
+	case LW, FLW, SW, FSW:
+		v := i.Dst
+		if i.Op == SW || i.Op == FSW {
+			v = i.B
+		}
+		b = v.AppendTo(append(append(b, i.Op.String()...), ' '))
+		b = strconv.AppendInt(append(b, ", "...), i.Off, 10)
+		b = append(i.A.AppendTo(append(b, '(')), ')')
+	case LWFP, FLWFP, SWFP, FSWFP:
+		v := i.Dst
+		if i.Op == SWFP || i.Op == FSWFP {
+			v = i.B
+		}
+		b = v.AppendTo(append(append(b, i.Op.String()...), ' '))
+		b = append(strconv.AppendInt(append(b, ", "...), i.Off, 10), "(fp)"...)
 	case GETP:
-		return fmt.Sprintf("getp %s, #%d%s%s", i.Dst, i.ParamIdx, stmt, ann)
+		b = i.Dst.AppendTo(append(b, "getp "...))
+		b = strconv.AppendInt(append(b, ", #"...), int64(i.ParamIdx), 10)
 	case BNEZ:
-		return fmt.Sprintf("bnez %s%s", i.A, stmt)
+		b = i.A.AppendTo(append(b, "bnez "...))
+		ann = false
 	case J:
-		return "j" + stmt
+		b = append(b, 'j')
+		ann = false
 	case RET:
+		b = append(b, "ret"...)
 		if i.A.Kind != None {
-			return fmt.Sprintf("ret %s%s", i.A, stmt)
+			b = i.A.AppendTo(append(b, ' '))
 		}
-		return "ret" + stmt
+		ann = false
 	case CALL:
-		args := make([]string, len(i.Args))
-		for k, a := range i.Args {
-			args[k] = a.String()
-		}
+		b = append(b, "call "...)
 		if i.Dst.Kind != None {
-			return fmt.Sprintf("call %s, %s(%s)%s%s", i.Dst, i.Callee, strings.Join(args, ", "), stmt, ann)
+			b = append(i.Dst.AppendTo(b), ", "...)
 		}
-		return fmt.Sprintf("call %s(%s)%s%s", i.Callee, strings.Join(args, ", "), stmt, ann)
+		b = append(append(b, i.Callee...), '(')
+		for k, a := range i.Args {
+			if k > 0 {
+				b = append(b, ", "...)
+			}
+			b = a.AppendTo(b)
+		}
+		b = append(b, ')')
 	case PRINT:
-		var parts []string
-		for _, a := range i.PrintFmt {
+		b = append(b, "print "...)
+		for k, a := range i.PrintFmt {
+			if k > 0 {
+				b = append(b, ", "...)
+			}
 			if a.IsStr {
-				parts = append(parts, fmt.Sprintf("%q", a.Str))
+				b = strconv.AppendQuote(b, a.Str)
 			} else {
-				parts = append(parts, a.Val.String())
+				b = a.Val.AppendTo(b)
 			}
 		}
-		return "print " + strings.Join(parts, ", ") + stmt
+		ann = false
 	case MARKDEAD:
-		return fmt.Sprintf("-- markdead %s%s", i.MarkObj.Name, stmt)
+		b = append(append(b, "-- markdead "...), i.MarkObj.Name...)
+		ann = false
 	case MARKAVAIL:
-		return fmt.Sprintf("-- markavail %s%s", i.MarkObj.Name, stmt)
-	case NOP:
-		return "nop"
+		b = append(append(b, "-- markavail "...), i.MarkObj.Name...)
+		ann = false
+	default:
+		b = i.Dst.AppendTo(append(append(b, i.Op.String()...), ' '))
+		b = i.A.AppendTo(append(b, ", "...))
+		b = i.B.AppendTo(append(b, ", "...))
 	}
-	return fmt.Sprintf("%s %s, %s, %s%s%s", i.Op, i.Dst, i.A, i.B, stmt, ann)
+	if i.Stmt >= 0 {
+		b = strconv.AppendInt(append(b, "  ; s"...), int64(i.Stmt), 10)
+	}
+	if !ann {
+		return b
+	}
+	if i.Ann.Hoisted {
+		b = append(b, " !hoisted"...)
+	}
+	if i.Ann.Sunk {
+		b = append(b, " !sunk"...)
+	}
+	if i.Ann.ReplacedVar != nil {
+		b = append(append(b, " !replaces:"...), i.Ann.ReplacedVar.Name...)
+	}
+	if i.Ann.Recover != nil {
+		b = append(append(b, " !recover:"...), i.Ann.Recover.Var.Name...)
+	}
+	return b
 }
 
 // Block is one machine basic block.
@@ -422,7 +458,7 @@ type Block struct {
 	LoopDepth int
 }
 
-func (b *Block) String() string { return fmt.Sprintf("L%d", b.ID) }
+func (b *Block) String() string { return "L" + strconv.Itoa(b.ID) }
 
 // RemoveAt deletes the instruction at idx.
 func (b *Block) RemoveAt(idx int) {
@@ -535,24 +571,31 @@ func (f *Func) NewVreg(class RegClass) Opd {
 }
 
 // String renders the function for dumps and golden tests.
-func (f *Func) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "func %s:  ; frame=%d bytes\n", f.Name, f.FrameSize)
-	for _, b := range f.Blocks {
-		fmt.Fprintf(&sb, "%s:\n", b)
-		for _, in := range b.Instrs {
-			fmt.Fprintf(&sb, "    %s\n", in)
+func (f *Func) String() string { return string(f.AppendTo(nil)) }
+
+// AppendTo appends the function's rendering (String's text) to b.
+func (f *Func) AppendTo(b []byte) []byte {
+	b = append(append(b, "func "...), f.Name...)
+	b = strconv.AppendInt(append(b, ":  ; frame="...), f.FrameSize, 10)
+	b = append(b, " bytes\n"...)
+	for _, blk := range f.Blocks {
+		b = append(strconv.AppendInt(append(b, 'L'), int64(blk.ID), 10), ":\n"...)
+		for _, in := range blk.Instrs {
+			b = append(in.AppendTo(append(b, "    "...)), '\n')
 		}
-		if t := b.Term(); t != nil {
+		if t := blk.Term(); t != nil {
 			switch t.Op {
 			case J:
-				fmt.Fprintf(&sb, "    -> %s\n", b.Succs[0])
+				b = strconv.AppendInt(append(b, "    -> L"...), int64(blk.Succs[0].ID), 10)
+				b = append(b, '\n')
 			case BNEZ:
-				fmt.Fprintf(&sb, "    -> then %s else %s\n", b.Succs[0], b.Succs[1])
+				b = strconv.AppendInt(append(b, "    -> then L"...), int64(blk.Succs[0].ID), 10)
+				b = strconv.AppendInt(append(b, " else L"...), int64(blk.Succs[1].ID), 10)
+				b = append(b, '\n')
 			}
 		}
 	}
-	return sb.String()
+	return b
 }
 
 // Program is a lowered translation unit.
@@ -597,11 +640,12 @@ func (p *Program) LookupFunc(name string) *Func {
 }
 
 // String renders the whole program.
-func (p *Program) String() string {
-	var sb strings.Builder
+func (p *Program) String() string { return string(p.AppendTo(nil)) }
+
+// AppendTo appends the whole program's rendering (String's text) to b.
+func (p *Program) AppendTo(b []byte) []byte {
 	for _, f := range p.Funcs {
-		sb.WriteString(f.String())
-		sb.WriteByte('\n')
+		b = append(f.AppendTo(b), '\n')
 	}
-	return sb.String()
+	return b
 }

@@ -1,6 +1,8 @@
 package mach
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -147,5 +149,21 @@ func TestCloneIndependence(t *testing.T) {
 	c.PrintFmt[0].Str = "y"
 	if in.Args[0].R == 9 || in.PrintFmt[0].Str == "y" {
 		t.Error("clone shares slices")
+	}
+}
+
+// TestRenderMatchesFmt pins the append renderer to the fmt verbs it
+// replaced where the golden digests' corpus is thin: %g for float
+// immediates and %q for print strings.
+func TestRenderMatchesFmt(t *testing.T) {
+	for _, f := range []float64{0, math.Copysign(0, -1), 2.5, -1e21, 1e-7, 123456789, 1.0 / 3, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if got, want := F_(f).String(), fmt.Sprintf("%g", f); got != want {
+			t.Errorf("F_(%v) renders %q, fmt %%g gives %q", f, got, want)
+		}
+	}
+	s := "a\"b\\c\n\x00\xffé "
+	in := &Instr{Op: PRINT, PrintFmt: []PrintArg{{Str: s, IsStr: true}, {Val: F_(1e100)}}, Stmt: 3}
+	if got, want := in.String(), fmt.Sprintf("print %q, %g  ; s3", s, 1e100); got != want {
+		t.Errorf("print renders %q, want %q", got, want)
 	}
 }

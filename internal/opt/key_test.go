@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/ir"
 )
 
 // Reference keys: the string spellings the optimizer keyed on before
-// ir.OpdKey and ir.ExprKey. The struct keys must put instructions in
-// exactly the classes these strings do.
+// ir.OpdKey and ir.ExprKey, with an Addr's scope added (without it a
+// local shadowing a global of the same ID and name shared its key). The
+// struct keys must put instructions in exactly the classes these strings
+// do.
 
 func refOpdKey(o ir.Operand) string {
 	switch o.Kind {
@@ -38,7 +41,11 @@ func refExprKey(i *ir.Instr) string {
 	case ir.Copy:
 		return fmt.Sprintf("copy %s", refOpdKey(i.A))
 	case ir.Addr:
-		return fmt.Sprintf("addr v%d.%s", i.AddrObj.ID, i.AddrObj.Name)
+		scope := "local"
+		if i.AddrObj.Kind == ast.ObjGlobal {
+			scope = "global"
+		}
+		return fmt.Sprintf("addr %s v%d.%s", scope, i.AddrObj.ID, i.AddrObj.Name)
 	}
 	return ""
 }

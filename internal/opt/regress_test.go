@@ -90,3 +90,26 @@ int main() { return f(1, 3); }
 	}
 	differential(t, src, Options{PDCE: true, DCE: true})
 }
+
+// TestRegressAddrShadowedGlobal: a global array and a local array that
+// shadows it can carry the same object ID and name (globals and a
+// function's locals are numbered separately), and Addr was keyed by ID
+// and name alone, so PRE reused the local's address for the global's
+// and O2 printed 77 instead of 75. Addr keys now include the scope.
+func TestRegressAddrShadowedGlobal(t *testing.T) {
+	differential(t, addrShadowSrc, O2())
+}
+
+const addrShadowSrc = `
+int a[4];
+int main() {
+	a[1] = 5;
+	{
+		int a[4];
+		a[1] = 7;
+		print(a[1]);
+	}
+	int x = a[1];
+	print(x, "\n");
+	return x;
+}`

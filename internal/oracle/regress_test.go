@@ -337,6 +337,25 @@ int main() {
 }`)
 }
 
+// A local array shadowing a global of the same object ID and name: O2
+// keyed both addresses alike, so the global read after the inner block
+// saw the local's store and x showed 7 where O0 shows 5. Fixed in
+// ir.ExprKey, which now tells a global's Addr from a local's.
+func TestRegressAddrShadowedGlobal(t *testing.T) {
+	diffClean(t, "regress_k.mc", `int a[4];
+int main() {
+	a[1] = 5;
+	{
+		int a[4];
+		a[1] = 7;
+		print(a[1]);
+	}
+	int x = a[1];
+	print(x, "\n");
+	return x;
+}`)
+}
+
 // Seeds 49, 176, 181: short-circuit && and || split one statement's
 // code across sequential blocks, and resolving a breakpoint to every
 // tagged block meant builds stopped a different number of times on the

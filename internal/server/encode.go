@@ -1,12 +1,14 @@
-// Zero-allocation response encoding. The wire loop used to run every
-// response through encoding/json, which reflects over the struct and
-// allocates on every call — measurable at hot continue/stop serving
-// rates. appendResponse is a hand-rolled append-based encoder producing
-// byte-identical output to encoding/json (same field order, omitempty
+// Zero-allocation encoding. The wire loop used to run every response
+// through encoding/json, which reflects over the struct and allocates on
+// every call — measurable at hot continue/stop serving rates; the client
+// did the same for requests. appendResponse (daemon) and AppendRequest
+// (client) are hand-rolled append-based encoders whose output is
+// byte-identical to encoding/json (same field order, omitempty
 // semantics, and string escaping, including the HTML-safe escapes, the
-// \ufffd replacement for invalid UTF-8, and  / ), over
-// buffers recycled through a sync.Pool. The encode_test golden and
-// randomized tests hold it byte-identical to encoding/json; flipping
+// \ufffd replacement for invalid UTF-8, and the escapes of U+2028 and
+// U+2029). Responses go out over buffers recycled through a sync.Pool,
+// requests through the client's reused buffer. Golden and randomized
+// tests (encode_test, decode_test) hold both to encoding/json; flipping
 // LegacyJSONEncoding routes the wire loop back through encoding/json as
 // the live differential oracle.
 package server
@@ -123,6 +125,74 @@ func appendResponse(b []byte, r *Response) []byte {
 		b = append(b, ']')
 	}
 	return append(b, '}')
+}
+
+// AppendRequest appends r encoded exactly as encoding/json would (without
+// the trailing newline json.Encoder adds): the client's request encoder.
+func AppendRequest(b []byte, r *Request) []byte {
+	b = append(b, '{')
+	if r.ID != 0 {
+		b = append(b, `"id":`...)
+		b = strconv.AppendInt(b, r.ID, 10)
+		b = append(b, ',')
+	}
+	b = append(b, `"cmd":`...)
+	b = appendString(b, r.Cmd)
+	b = appendStringField(b, `,"token":`, r.Token)
+	b = appendStringField(b, `,"name":`, r.Name)
+	b = appendStringField(b, `,"src":`, r.Src)
+	b = appendStringField(b, `,"workload":`, r.Workload)
+	if c := r.Config; c != nil {
+		b = append(b, `,"config":{`...)
+		n := len(b)
+		b = appendStringField(b, `,"opt":`, c.Opt)
+		if c.RegAlloc != nil {
+			b = append(b, `,"regalloc":`...)
+			b = appendBool(b, *c.RegAlloc)
+		}
+		if c.Sched != nil {
+			b = append(b, `,"sched":`...)
+			b = appendBool(b, *c.Sched)
+		}
+		if len(b) > n {
+			// Drop the first member's leading comma.
+			b = append(b[:n], b[n+1:]...)
+		}
+		b = append(b, '}')
+	}
+	b = appendStringField(b, `,"artifact":`, r.Artifact)
+	b = appendStringField(b, `,"session":`, r.Session)
+	b = appendStringField(b, `,"handle":`, r.Handle)
+	b = appendStringField(b, `,"func":`, r.Func)
+	if r.Stmt != nil {
+		b = append(b, `,"stmt":`...)
+		b = strconv.AppendInt(b, int64(*r.Stmt), 10)
+	}
+	if r.Line != 0 {
+		b = append(b, `,"line":`...)
+		b = strconv.AppendInt(b, int64(r.Line), 10)
+	}
+	b = appendStringField(b, `,"var":`, r.Var)
+	if len(r.Reqs) > 0 {
+		b = append(b, `,"reqs":[`...)
+		for i := range r.Reqs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = AppendRequest(b, &r.Reqs[i])
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+// appendStringField appends the member key (with its leading comma) and
+// v, unless v is empty: an omitempty string field.
+func appendStringField(b []byte, key, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return appendString(append(b, key...), v)
 }
 
 // appendVarInfo appends one classified variable, recursing into the

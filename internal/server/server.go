@@ -365,7 +365,7 @@ func (s *Server) Serve(r io.Reader, w io.Writer) error {
 		}
 		var req Request
 		var resp *Response
-		if err := json.Unmarshal(line, &req); err != nil {
+		if err := decodeRequest(line, &req); err != nil {
 			resp = errResp(0, CodeBadRequest, fmt.Sprintf("malformed request: %v", err))
 		} else {
 			resp = s.handleAs(c, &req)

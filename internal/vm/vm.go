@@ -110,6 +110,9 @@ type VM struct {
 	sp    int64  // next free byte address for frames
 	out   strings.Builder
 	stack []*Frame
+	// pool holds one frame per stack depth reached so far; push reuses
+	// pool[len(stack)] (see push for why that is sound).
+	pool []*Frame
 
 	Cycles int64
 	Steps  int64
@@ -144,34 +147,74 @@ func New(prog *mach.Program) (*VM, error) {
 		}
 		vm.mem[off] = slot{i: init.Int, f: init.Fl}
 	}
-	vm.push(vm.pcode.funcs[main], nil, mach.Opd{})
+	vm.push(vm.pcode.funcs[main], 0, mach.Opd{})
 	return vm, nil
 }
 
-func (vm *VM) push(fc *funcCode, args []Val, retDst mach.Opd) {
+// push activates fc on top of the stack. Frames are reused by stack
+// depth: pool[d] is the frame last used at depth d, re-sliced to the
+// callee's register counts and cleared, so a fresh activation reads as
+// all-zero registers exactly as a newly allocated frame would. The reuse
+// is sound because the stack is strictly LIFO and no *Frame outlives the
+// command that reads it: callers inspect Top() only between runs, within
+// one command, and never keep the pointer across a later run (a popped
+// frame's contents are overwritten by the next call at its depth).
+//
+// Callers fill the new frame's Args (see argsAt) before pushing; New
+// pushes main with no arguments.
+func (vm *VM) push(fc *funcCode, nargs int, retDst mach.Opd) {
 	fn := fc.fn
 	nInt, nFloat := fn.NumVregs, fn.NumVregs
 	if fn.Allocated {
 		nInt, nFloat = mach.NumIntRegs, mach.NumFloatRegs
 	}
-	fr := &Frame{
-		Fn:      fn,
-		IReg:    make([]int64, nInt+1),
-		FReg:    make([]float64, nFloat+1),
-		readyI:  make([]int64, nInt+1),
-		readyFv: make([]int64, nFloat+1),
-		Base:    vm.sp,
-		Args:    args,
-		code:    fc,
-		pc:      fc.entry,
-		retDst:  retDst,
-	}
+	fr := vm.frameAt(len(vm.stack))
+	fr.Fn = fn
+	fr.IReg = regs(fr.IReg, nInt+1)
+	fr.FReg = regs(fr.FReg, nFloat+1)
+	fr.readyI = regs(fr.readyI, nInt+1)
+	fr.readyFv = regs(fr.readyFv, nFloat+1)
+	fr.Base = vm.sp
+	fr.Args = fr.Args[:nargs]
+	fr.code = fc
+	fr.pc = fc.entry
+	fr.retDst = retDst
 	need := (fn.FrameSize + 7) &^ 3
 	vm.sp += need
 	for int64(len(vm.mem))*4 < vm.sp {
 		vm.mem = append(vm.mem, slot{})
 	}
 	vm.stack = append(vm.stack, fr)
+}
+
+// frameAt returns the pooled frame for stack depth d, allocating it the
+// first time execution reaches that depth.
+func (vm *VM) frameAt(d int) *Frame {
+	if d == len(vm.pool) {
+		vm.pool = append(vm.pool, &Frame{})
+	}
+	return vm.pool[d]
+}
+
+// argsAt returns the argument buffer of the frame the next call will
+// push, sized n: CALL evaluates its arguments straight into it.
+func (vm *VM) argsAt(n int) []Val {
+	fr := vm.frameAt(len(vm.stack))
+	if cap(fr.Args) < n {
+		fr.Args = make([]Val, n)
+	}
+	return fr.Args[:n]
+}
+
+// regs returns s resized to n and zeroed, reusing its backing array when
+// it is large enough.
+func regs[T int64 | float64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // SetDeadline bounds subsequent execution by wall-clock time: once t has
@@ -547,11 +590,11 @@ func (vm *VM) exec1(fr *Frame) (frameChanged bool, err error) {
 		if callee == nil {
 			return false, fmt.Errorf("vm: call of unknown function %q", in.Callee)
 		}
-		args := make([]Val, len(in.Args))
+		args := vm.argsAt(len(in.Args))
 		for i, a := range in.Args {
 			args[i] = vm.regVal(fr, a)
 		}
-		vm.push(callee, args, in.Dst)
+		vm.push(callee, len(args), in.Dst)
 		return true, nil
 
 	case mach.RET:
@@ -599,21 +642,25 @@ func (vm *VM) doPrint(fr *Frame, in *mach.Instr) error {
 	}
 	var scratch [32]byte
 	for _, a := range in.PrintFmt {
-		var s string
-		if a.IsStr {
-			s = a.Str
-		} else {
+		num := scratch[:0]
+		n := len(a.Str)
+		if !a.IsStr {
 			v := vm.regVal(fr, a.Val)
 			if v.IsF {
-				s = string(strconv.AppendFloat(scratch[:0], v.F, 'g', -1, 64))
+				num = strconv.AppendFloat(num, v.F, 'g', -1, 64)
 			} else {
-				s = string(strconv.AppendInt(scratch[:0], v.I, 10))
+				num = strconv.AppendInt(num, v.I, 10)
 			}
+			n = len(num)
 		}
-		if limit > 0 && int64(vm.out.Len())+int64(len(s)) > limit {
+		if limit > 0 && int64(vm.out.Len())+int64(n) > limit {
 			return fmt.Errorf("%w (%d bytes, stmt %d in %s)", ErrOutputLimit, limit, in.Stmt, fr.Fn.Name)
 		}
-		vm.out.WriteString(s)
+		if a.IsStr {
+			vm.out.WriteString(a.Str)
+		} else {
+			vm.out.Write(num)
+		}
 	}
 	return nil
 }

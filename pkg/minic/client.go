@@ -2,7 +2,6 @@ package minic
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -161,7 +160,7 @@ type Client struct {
 
 	mu     sync.Mutex
 	conn   net.Conn
-	enc    *json.Encoder
+	wbuf   []byte // request encode buffer, reused across commands
 	sc     *bufio.Scanner
 	next   int64
 	broken bool // the connection died mid-command; redial before reuse
@@ -194,7 +193,6 @@ func Dial(network, addr string, opts ...DialOption) (*Client, error) {
 // has exclusive access.
 func (c *Client) reset(conn net.Conn) {
 	c.conn = conn
-	c.enc = json.NewEncoder(conn)
 	c.sc = bufio.NewScanner(conn)
 	c.sc.Buffer(make([]byte, 0, 64*1024), server.MaxLine)
 	c.broken = false
@@ -288,7 +286,12 @@ func backoff(p RetryPolicy, try int) time.Duration {
 func (c *Client) doLocked(req *server.Request) (*server.Response, error) {
 	c.next++
 	req.ID = c.next
-	if err := c.enc.Encode(req); err != nil {
+	c.wbuf = append(server.AppendRequest(c.wbuf[:0], req), '\n')
+	_, err := c.conn.Write(c.wbuf)
+	if cap(c.wbuf) > 64<<10 {
+		c.wbuf = nil // do not pin one large compile request's buffer
+	}
+	if err != nil {
 		return nil, err
 	}
 	if !c.sc.Scan() {
@@ -298,7 +301,7 @@ func (c *Client) doLocked(req *server.Request) (*server.Response, error) {
 		return nil, io.ErrUnexpectedEOF
 	}
 	var resp server.Response
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	if err := server.DecodeResponse(c.sc.Bytes(), &resp); err != nil {
 		return nil, fmt.Errorf("minic: bad response line: %w", err)
 	}
 	if resp.ID != req.ID {
