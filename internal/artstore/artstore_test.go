@@ -2,9 +2,13 @@ package artstore
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/compile"
+	"repro/internal/mach"
 )
 
 func srcFor(i int) (string, string) {
@@ -180,5 +184,72 @@ func TestErrorsAreNotCached(t *testing.T) {
 	s := st.Stats()
 	if s.Misses != 2 || s.Entries != 0 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestCorruptSpillFileIsRecompiledAndRemoved plants a spill file whose
+// image decodes to an `la` instruction without a symbol: the symbol's
+// object ID is too large for the wire's object reference, so it encodes
+// as a negative (nil) reference while the recorded digest still renders
+// its name. Get must reject the file with an error rather than panic,
+// compile from source, count one spill error and delete the file, so a
+// new store on the same directory is not wedged by it.
+func TestCorruptSpillFileIsRecompiledAndRemoved(t *testing.T) {
+	const name = "g.mc"
+	const src = `int g[4];
+int main() {
+	g[1] = 7;
+	print(g[1]);
+	return g[1];
+}`
+	dir := t.TempDir()
+	st := New(Config{SpillDir: dir})
+	a, _, err := st.Get(name, src, compile.O2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := a.Res.Mach.String()
+	planted := false
+	for _, b := range a.Res.Mach.LookupFunc("main").Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == mach.LA && !planted {
+				in.Sym = &ast.Object{Name: in.Sym.Name, Kind: ast.ObjLocal, ID: 1 << 30}
+				planted = true
+			}
+		}
+	}
+	if !planted {
+		t.Fatal("main has no la instruction")
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	path := filepath.Join(dir, a.ID()+".art")
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("spill file not written: %v", err)
+	}
+
+	for round := 0; round < 2; round++ {
+		restarted := New(Config{SpillDir: dir})
+		got, hit, err := restarted.Get(name, src, compile.O2())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := restarted.Stats()
+		restarted.Close()
+		if round == 0 {
+			if hit || s.SpillErrors != 1 || s.SpillHits != 0 {
+				t.Fatalf("corrupt file: hit=%v stats=%+v, want a compile and one spill error", hit, s)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("corrupt spill file still on disk: %v", err)
+			}
+		} else if s.SpillErrors != 0 {
+			t.Fatalf("second store on the directory: stats=%+v", s)
+		}
+		if got.Res.Mach.String() != want {
+			t.Fatal("recompiled machine code differs from the original")
+		}
 	}
 }

@@ -176,26 +176,42 @@ type PassAblationRow struct {
 	SlowdownPct float64
 }
 
+// PassVariant is one row of a per-pass table: its label and the pipeline
+// configuration compiled under it.
+type PassVariant struct {
+	Name   string
+	Config compile.Config
+}
+
+// PassesOff returns the O2 pipeline, register allocation and scheduling
+// included, with one optimization switched off per variant (constant
+// folding and propagation go together, as do copy and assignment
+// propagation), in table order. It is the one list of -pass variants:
+// PassAblation and the oracle's per-pass coverage table both sweep it.
+func PassesOff() []PassVariant {
+	off := func(name string, mod func(*opt.Options)) PassVariant {
+		cfg := compile.O2()
+		mod(&cfg.Opt)
+		return PassVariant{Name: name, Config: cfg}
+	}
+	return []PassVariant{
+		off("-constfold/prop", func(o *opt.Options) { o.ConstFold = false; o.ConstProp = false }),
+		off("-copy/assignprop", func(o *opt.Options) { o.CopyProp = false; o.AssignProp = false }),
+		off("-pre", func(o *opt.Options) { o.PRE = false }),
+		off("-licm", func(o *opt.Options) { o.LICM = false }),
+		off("-pdce", func(o *opt.Options) { o.PDCE = false }),
+		off("-dce", func(o *opt.Options) { o.DCE = false }),
+		off("-strength", func(o *opt.Options) { o.Strength = false }),
+		off("-unroll", func(o *opt.Options) { o.Unroll = false }),
+		off("-loopinvert", func(o *opt.Options) { o.LoopInvert = false }),
+		off("-branchopt", func(o *opt.Options) { o.BranchOpt = false }),
+	}
+}
+
 // PassAblation measures each pass's contribution to the optimizer by
 // disabling it from the O2 pipeline and re-running every workload.
 func PassAblation() ([]PassAblationRow, error) {
-	type variant struct {
-		name string
-		mod  func(*opt.Options)
-	}
-	variants := []variant{
-		{"full O2", func(o *opt.Options) {}},
-		{"-constfold/prop", func(o *opt.Options) { o.ConstFold = false; o.ConstProp = false }},
-		{"-copy/assignprop", func(o *opt.Options) { o.CopyProp = false; o.AssignProp = false }},
-		{"-pre", func(o *opt.Options) { o.PRE = false }},
-		{"-licm", func(o *opt.Options) { o.LICM = false }},
-		{"-pdce", func(o *opt.Options) { o.PDCE = false }},
-		{"-dce", func(o *opt.Options) { o.DCE = false }},
-		{"-strength", func(o *opt.Options) { o.Strength = false }},
-		{"-unroll", func(o *opt.Options) { o.Unroll = false }},
-		{"-loopinvert", func(o *opt.Options) { o.LoopInvert = false }},
-		{"-branchopt", func(o *opt.Options) { o.BranchOpt = false }},
-	}
+	variants := append([]PassVariant{{Name: "full O2", Config: compile.O2()}}, PassesOff()...)
 	// Reference outputs for correctness checking.
 	want := map[string]string{}
 	for _, name := range Names {
@@ -213,25 +229,22 @@ func PassAblation() ([]PassAblationRow, error) {
 	var rows []PassAblationRow
 	var baseline int64
 	for vi, v := range variants {
-		o := opt.O2()
-		v.mod(&o)
-		cfg := compile.Config{Opt: o, RegAlloc: true, Sched: true}
 		var total int64
 		for _, name := range Names {
-			res, err := CompileWorkload(name, cfg)
+			res, err := CompileWorkload(name, v.Config)
 			if err != nil {
-				return nil, fmt.Errorf("%s with %s: %w", name, v.name, err)
+				return nil, fmt.Errorf("%s with %s: %w", name, v.Name, err)
 			}
 			m, err := RunWorkload(res)
 			if err != nil {
-				return nil, fmt.Errorf("%s with %s: %w", name, v.name, err)
+				return nil, fmt.Errorf("%s with %s: %w", name, v.Name, err)
 			}
 			if m.Output() != want[name] {
-				return nil, fmt.Errorf("%s with %s: output differs from O0", name, v.name)
+				return nil, fmt.Errorf("%s with %s: output differs from O0", name, v.Name)
 			}
 			total += m.Cycles
 		}
-		row := PassAblationRow{Pass: v.name, TotalCycles: total}
+		row := PassAblationRow{Pass: v.Name, TotalCycles: total}
 		if vi == 0 {
 			baseline = total
 		} else if baseline > 0 {

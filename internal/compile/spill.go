@@ -394,6 +394,9 @@ func decFunc(wf *wireFunc, p *sem.Program, r *objResolver) (*mach.Func, error) {
 			}
 			b.Instrs = append(b.Instrs, in)
 		}
+		if t := b.Term(); t != nil && len(b.Succs) < branchTargets(t.Op) {
+			return nil, fmt.Errorf("spill: %s in L%d of %s has %d successors", t.Op, b.ID, wf.Name, len(b.Succs))
+		}
 	}
 	f.Blocks = blocks
 	if wf.Entry >= 0 {
@@ -451,7 +454,39 @@ func decInstr(wi *wireInstr, r *objResolver) (*mach.Instr, error) {
 		}
 		in.UseObjs = append(in.UseObjs, o)
 	}
+	if err := checkInstr(in); err != nil {
+		return nil, err
+	}
 	return in, nil
+}
+
+// checkInstr rejects a decoded instruction the renderer behind the digest
+// check would dereference nil on: an object its opcode names, or a
+// recovery's variable, that resolved to no object. Opcodes and operands
+// render whatever their values, and a changed one fails the digest, so
+// this is the check that turns a corrupt image into an error rather than
+// a panic.
+func checkInstr(in *mach.Instr) error {
+	switch {
+	case in.Op == mach.LA && in.Sym == nil:
+		return fmt.Errorf("spill: la without a symbol")
+	case in.IsMarker() && in.MarkObj == nil:
+		return fmt.Errorf("spill: %s without an object", in.Op)
+	case in.Ann.Recover != nil && in.Ann.Recover.Var == nil:
+		return fmt.Errorf("spill: %s: recovery without a variable", in.Op)
+	}
+	return nil
+}
+
+// branchTargets is how many successors a block ending in op must have.
+func branchTargets(op mach.Opcode) int {
+	switch op {
+	case mach.BNEZ:
+		return 2
+	case mach.J:
+		return 1
+	}
+	return 0
 }
 
 // encOffs flattens an offset table deterministically (sorted by object ID,

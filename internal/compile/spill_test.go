@@ -5,6 +5,7 @@ package compile_test
 // code whose canonical rendering is byte-identical to the original.
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -176,4 +177,78 @@ func TestResultSizeBytes(t *testing.T) {
 	if !strings.Contains(res.Mach.String(), "compress") {
 		t.Fatal("sanity: compress not in rendering")
 	}
+}
+
+// TestSpillDecodeNeverPanicsOnMutations changes 1 to 3 random bytes of a
+// real spill image 2000 times under a fixed seed. DecodeSpill must return
+// an error or a Result whose machine code renders exactly like the
+// original, and never panic: a panic here escapes the store's disk tier
+// and leaves the corrupt file in place.
+func TestSpillDecodeNeverPanicsOnMutations(t *testing.T) {
+	res, err := compile.Compile("compress.mc", bench.MustSource("compress"), compile.O2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := compile.EncodeSpill(compile.O2(), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Mach.String()
+	r := rand.New(rand.NewSource(1))
+	rejected := 0
+	for i := 0; i < 2000; i++ {
+		mut := append([]byte(nil), data...)
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			mut[r.Intn(len(mut))] = byte(r.Intn(256))
+		}
+		got, err := decodeNoPanic(t, mut)
+		if err != nil {
+			rejected++
+			continue
+		}
+		if got.Mach.String() != want {
+			t.Fatalf("mutation %d decoded to different machine code", i)
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no mutation was rejected")
+	}
+}
+
+// decodeNoPanic runs DecodeSpill, failing the test if it panics.
+func decodeNoPanic(t *testing.T, data []byte) (res *compile.Result, err error) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("DecodeSpill panicked: %v", p)
+		}
+	}()
+	res, _, _, _, err = compile.DecodeSpill(data)
+	return res, err
+}
+
+// FuzzDecodeSpill: DecodeSpill never panics, whatever the bytes, and an
+// image it accepts re-encodes to one that decodes to the same machine
+// code. The seed corpus (testdata/fuzz/FuzzDecodeSpill) holds the images
+// of a small program with a global, a call, a print and eliminated dead
+// code at O0, O2 and O2 without register allocation: small images keep
+// each execution fast.
+func FuzzDecodeSpill(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, _, _, cfg, err := compile.DecodeSpill(data)
+		if err != nil {
+			return
+		}
+		again, err := compile.EncodeSpill(cfg, res)
+		if err != nil {
+			t.Fatalf("accepted image does not re-encode: %v", err)
+		}
+		back, _, _, _, err := compile.DecodeSpill(again)
+		if err != nil {
+			t.Fatalf("re-encoded image rejected: %v", err)
+		}
+		if back.Mach.String() != res.Mach.String() {
+			t.Fatal("re-encoded image decodes to different machine code")
+		}
+	})
 }

@@ -16,10 +16,11 @@
 // problems), and a block is re-queued only after an actual change — so at
 // most Bits changes per set, giving O(Bits · N · E) bit-operations in the
 // worst case and, in practice, loop-nesting-depth + 2 sweeps. Solve and
-// the dense reference schedule SolveReference compute the same unique
-// fixed point (chaotic iteration of a monotone system converges to the
-// same limit regardless of a fair visit order), which the differential
-// tests in dataflow_test.go and internal/randprog exercise.
+// the dense round-robin schedule kept in the tests (solver_ref_test.go)
+// compute the same unique fixed point (chaotic iteration of a monotone
+// system converges to the same limit regardless of a fair visit order),
+// which the differential tests exercise on random graphs and on the CFGs
+// of generated programs.
 //
 // The debugger-side analyses of the paper (hoist reach, dead reach) are
 // instances of the same framework — that is one of the paper's central

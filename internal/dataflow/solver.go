@@ -57,7 +57,8 @@ type Result struct {
 	In, Out []*BitSet
 }
 
-// solverState is the shared setup of Solve and SolveReference: initial
+// solverState is the shared setup of Solve and the reference schedule
+// in the tests (solver_ref_test.go): initial
 // values, boundary seeding, and the direction-resolved views of the
 // solution (flowIn is the set entering each block's transfer function,
 // edgesIn the edges the meet reads — preds for Forward, succs for
@@ -229,7 +230,8 @@ func (p *Problem) visitOrder(st *solverState) []int {
 // for Union from ⊥, downward for Intersect from ⊤), and a block is
 // re-queued only after an actual change, so the number of re-visits is
 // bounded by Bits·N and the iteration reaches the same unique fixed
-// point as the dense reference schedule (SolveReference).
+// point as the dense round-robin schedule the differential tests hold it
+// against.
 func (p *Problem) Solve() *Result {
 	st := p.setup()
 	n := p.Graph.N
@@ -255,27 +257,6 @@ func (p *Problem) Solve() *Result {
 						remaining++
 					}
 				}
-			}
-		}
-	}
-	return st.res
-}
-
-// SolveReference is the dense round-robin schedule the solver used before
-// the worklist rewrite: sweep all blocks in index order until a full pass
-// changes nothing. It computes the identical fixed point and is retained
-// as the oracle for differential tests (and as the simplest statement of
-// the algorithm); use Solve everywhere else.
-func (p *Problem) SolveReference() *Result {
-	st := p.setup()
-	n := p.Graph.N
-	changed := true
-	tmp := p.Arena.BitSet(p.Bits)
-	for changed {
-		changed = false
-		for b := 0; b < n; b++ {
-			if p.step(st, b, tmp) {
-				changed = true
 			}
 		}
 	}

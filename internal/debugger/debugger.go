@@ -50,7 +50,7 @@ type Debugger struct {
 	stopped  *Breakpoint
 
 	// bset is the breakpoint bitmap compiled from breaks, consumed by the
-	// VM's predecoded fast path; it is invalidated whenever breaks change
+	// VM's predecoded engine; it is invalidated whenever breaks change
 	// and rebuilt on the next Continue.
 	bset *vm.BreakSet
 }
@@ -126,10 +126,9 @@ func (d *Debugger) BreakAtStmt(funcName string, stmt int) (*Breakpoint, error) {
 }
 
 // compileBreaks builds the breakpoint bitmap from the armed breakpoints.
-// It reports false if any breakpoint location does not map into the
-// predecoded layout, in which case the caller must use the predicate
-// path (the bitmap would silently skip that breakpoint).
-func (d *Debugger) compileBreaks() bool {
+// A location missing from the predecoded layout is skipped: the VM only
+// ever stands at layout positions, so no run could stop there anyway.
+func (d *Debugger) compileBreaks() {
 	bs := d.VM.NewBreakSet()
 	for _, bp := range d.breaks {
 		locs := bp.Locs
@@ -137,50 +136,23 @@ func (d *Debugger) compileBreaks() bool {
 			locs = []debuginfo.Loc{bp.Loc}
 		}
 		for _, l := range locs {
-			if !bs.Add(bp.Fn, l.Block, l.Idx) {
-				return false
-			}
+			bs.Add(bp.Fn, l.Block, l.Idx)
 		}
 	}
 	d.bset = bs
-	return true
 }
 
 // Continue resumes execution until a breakpoint or program exit. It
 // returns the breakpoint hit, or nil when the program halted. Execution
-// takes the VM's predecoded bitmap fast path; ContinueRef is the
-// reference predicate implementation it is differentially tested against.
+// runs on the VM's predecoded engine, stopping on the breakpoint bitmap.
 func (d *Debugger) Continue() (*Breakpoint, error) {
-	if d.bset == nil && !d.compileBreaks() {
-		return d.ContinueRef()
+	if d.bset == nil {
+		d.compileBreaks()
 	}
 	// Don't immediately re-trigger the breakpoint we stopped at: resuming
 	// from a breakpoint executes its first instruction unconditionally.
 	skip := d.stopped != nil && d.matches(d.VM.Position()) != nil
 	if err := d.VM.RunBreaks(d.bset, skip); err != nil {
-		return nil, err
-	}
-	return d.afterRun()
-}
-
-// ContinueRef is the reference implementation of Continue over the
-// closure-predicate RunUntilFunc path: it builds a Pos and evaluates
-// every armed breakpoint before each instruction. It is the differential
-// oracle the fast path is held byte-identical against (and the baseline
-// of the BENCH_vm.json comparison).
-func (d *Debugger) ContinueRef() (*Breakpoint, error) {
-	first := true
-	err := d.VM.RunUntilFunc(func(p vm.Pos) bool {
-		if first {
-			// Don't immediately re-trigger the breakpoint we stopped at.
-			first = false
-			if d.stopped != nil && d.matches(p) != nil {
-				return false
-			}
-		}
-		return d.matches(p) != nil
-	})
-	if err != nil {
 		return nil, err
 	}
 	return d.afterRun()
@@ -236,7 +208,7 @@ func (d *Debugger) Stopped() *Breakpoint { return d.stopped }
 // the variable classifications at a step stop are computed exactly like
 // breakpoint classifications. The statement-boundary stop rule is
 // compiled into a bitmap (vm.StepBreakSet) and run on the predecoded
-// fast path; StepRef is the reference predicate implementation.
+// engine.
 func (d *Debugger) Step() (*Breakpoint, error) {
 	if d.VM.Halted() {
 		return nil, nil
@@ -249,31 +221,6 @@ func (d *Debugger) Step() (*Breakpoint, error) {
 		return nil, err
 	}
 	if err := d.VM.RunBreaks(d.VM.StepBreakSet(startFn, startStmt), false); err != nil {
-		return nil, err
-	}
-	return d.afterStep()
-}
-
-// StepRef is the reference implementation of Step over the
-// closure-predicate RunUntilFunc path — the differential oracle for the
-// bitmap-compiled step rule.
-func (d *Debugger) StepRef() (*Breakpoint, error) {
-	if d.VM.Halted() {
-		return nil, nil
-	}
-	startFn := d.VM.Position().Fn
-	startStmt := d.currentStmt()
-	if err := d.VM.Step(); err != nil {
-		return nil, err
-	}
-	err := d.VM.RunUntilFunc(func(p vm.Pos) bool {
-		in := d.VM.CurrentInstr()
-		if in == nil || in.Stmt < 0 {
-			return false
-		}
-		return p.Fn != startFn || in.Stmt != startStmt
-	})
-	if err != nil {
 		return nil, err
 	}
 	return d.afterStep()

@@ -7,6 +7,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/debuginfo"
+	"repro/internal/mach"
 	"repro/internal/randprog"
 	"repro/internal/vm"
 )
@@ -298,11 +299,8 @@ func TestSROAPerFieldCurrentVsO0(t *testing.T) {
 	t.Logf("cross-checked %d current and %d recovered per-field values", checkedCurrent, checkedRecovered)
 }
 
-// TestFastPathStepEquiv single-steps a small program from entry to exit
-// on both engines and requires identical stop sequences — the pure
-// step-rule path, no breakpoints at all.
-func TestFastPathStepEquiv(t *testing.T) {
-	src := `
+// loopCallSrc is a small program with a loop, a call and a global.
+const loopCallSrc = `
 int g;
 
 int twice(int v) {
@@ -322,9 +320,14 @@ int main() {
 	return s;
 }
 `
+
+// TestFastPathStepEquiv single-steps a small program from entry to exit
+// on both engines and requires identical stop sequences — the pure
+// step-rule path, no breakpoints at all.
+func TestFastPathStepEquiv(t *testing.T) {
 	for name, cfg := range equivConfigs() {
-		dFast := session(t, src, cfg)
-		dRef := session(t, src, cfg)
+		dFast := session(t, loopCallSrc, cfg)
+		dRef := session(t, loopCallSrc, cfg)
 		var fast, ref stopTrace
 		for i := 0; i < 400; i++ {
 			bp, err := dFast.Step()
@@ -357,6 +360,71 @@ int main() {
 		}
 		if dFast.VM.Output() != dRef.VM.Output() {
 			t.Fatalf("%s: output %q vs %q", name, dFast.VM.Output(), dRef.VM.Output())
+		}
+	}
+}
+
+// TestContinueSkipsUnmappableLocations arms breakpoint locations that are
+// absent from the VM's predecoded layout: a block outside the function,
+// an index past the end of a block, and a negative index, alone and next
+// to real locations. The bitmap cannot hold them, and the VM never stands
+// at them, so Continue (which skips them) must run to exactly the stops,
+// counters, output and exit of the reference ContinueRef (which tests
+// them before every instruction).
+func TestContinueSkipsUnmappableLocations(t *testing.T) {
+	unmappable := func(t *testing.T, d *Debugger) []*Breakpoint {
+		t.Helper()
+		main := d.Res.Mach.LookupFunc("main")
+		twice := d.Res.Mach.LookupFunc("twice")
+		entry := main.Blocks[0]
+		locs := []debuginfo.Loc{
+			{Block: &mach.Block{ID: 1 << 20}, Idx: 0},
+			{Block: entry, Idx: len(entry.Instrs) + 3},
+			{Block: entry, Idx: -1},
+		}
+		bs := d.VM.NewBreakSet()
+		for _, l := range locs {
+			if bs.Add(main, l.Block, l.Idx) || bs.Add(twice, l.Block, l.Idx) {
+				t.Fatalf("location %+v maps into the layout", l)
+			}
+		}
+		real, ok := d.analysisOf(twice).Table.LocOf(0)
+		if !ok {
+			t.Fatal("twice has no location for its first statement")
+		}
+		return []*Breakpoint{
+			{Fn: main, Stmt: 0, Loc: locs[0]},
+			{Fn: main, Stmt: 1, Loc: locs[1], Locs: locs},
+			{Fn: twice, Stmt: 0, Loc: real, Locs: []debuginfo.Loc{locs[2], real}},
+		}
+	}
+	for name, cfg := range equivConfigs() {
+		for _, withReal := range []bool{false, true} {
+			var traces [2]*stopTrace
+			for i, mode := range []string{"fast", "ref"} {
+				d := session(t, loopCallSrc, cfg)
+				bps := unmappable(t, d)
+				if !withReal {
+					bps = bps[:2]
+				}
+				d.breaks = append(d.breaks, bps...)
+				var brk [][2]any
+				if withReal {
+					brk = [][2]any{{"main", 3}}
+				}
+				traces[i] = traceRun(t, d, mode, brk, 200)
+			}
+			fast, ref := traces[0], traces[1]
+			if got, want := fmt.Sprintf("%+v", *fast), fmt.Sprintf("%+v", *ref); got != want {
+				t.Fatalf("%s withReal=%v: Continue diverges from ContinueRef\nfast: %s\nref:  %s",
+					name, withReal, got, want)
+			}
+			if withReal && len(fast.stops) < 3 {
+				t.Fatalf("%s: real breakpoints fired only %d times: %v", name, len(fast.stops), fast.stops)
+			}
+			if !withReal && (len(fast.stops) != 1 || fast.stops[0] != "exit") {
+				t.Fatalf("%s: unmappable-only run stopped: %v", name, fast.stops)
+			}
 		}
 	}
 }

@@ -10,42 +10,20 @@ import (
 	"repro/internal/randprog"
 )
 
-// PassVariant names one coverage-ablation pipeline configuration.
-type PassVariant struct {
-	Name   string
-	Config compile.Config
-}
-
-// PassVariants returns the per-pass coverage configurations, modeled on
-// bench.PassAblation's variant list: the full O2 pipeline, one variant
-// per disabled optimization, the regalloc/scheduling axes of the
-// paper's Figure 5, and O0 as the all-current floor. Sweeping coverage
-// under each shows which transformation each bucket's mass comes from —
-// e.g. disabling DCE should collapse most of the recovered bucket back
-// into current, while disabling regalloc removes residence
-// endangerment.
-func PassVariants() []PassVariant {
-	mk := func(mod func(*opt.Options)) compile.Config {
-		o := opt.O2()
-		mod(&o)
-		return compile.Config{Opt: o, RegAlloc: true, Sched: true}
-	}
-	return []PassVariant{
-		{"O2", mk(func(*opt.Options) {})},
-		{"-constfold/prop", mk(func(o *opt.Options) { o.ConstFold = false; o.ConstProp = false })},
-		{"-copy/assignprop", mk(func(o *opt.Options) { o.CopyProp = false; o.AssignProp = false })},
-		{"-pre", mk(func(o *opt.Options) { o.PRE = false })},
-		{"-licm", mk(func(o *opt.Options) { o.LICM = false })},
-		{"-pdce", mk(func(o *opt.Options) { o.PDCE = false })},
-		{"-dce", mk(func(o *opt.Options) { o.DCE = false })},
-		{"-strength", mk(func(o *opt.Options) { o.Strength = false })},
-		{"-unroll", mk(func(o *opt.Options) { o.Unroll = false })},
-		{"-loopinvert", mk(func(o *opt.Options) { o.LoopInvert = false })},
-		{"-branchopt", mk(func(o *opt.Options) { o.BranchOpt = false })},
-		{"-regalloc", compile.Config{Opt: opt.O2(), RegAlloc: false, Sched: true}},
-		{"-sched", compile.Config{Opt: opt.O2(), RegAlloc: true, Sched: false}},
-		{"O0", compile.O0()},
-	}
+// PassVariants returns the per-pass coverage configurations: the full O2
+// pipeline, bench.PassesOff's one variant per disabled optimization, the
+// regalloc/scheduling axes of the paper's Figure 5, and O0 as the
+// all-current floor. Sweeping coverage under each shows which
+// transformation each bucket's mass comes from — e.g. disabling DCE
+// should collapse most of the recovered bucket back into current, while
+// disabling regalloc removes residence endangerment.
+func PassVariants() []bench.PassVariant {
+	vs := append([]bench.PassVariant{{Name: "O2", Config: compile.O2()}}, bench.PassesOff()...)
+	return append(vs,
+		bench.PassVariant{Name: "-regalloc", Config: compile.Config{Opt: opt.O2(), RegAlloc: false, Sched: true}},
+		bench.PassVariant{Name: "-sched", Config: compile.Config{Opt: opt.O2(), RegAlloc: true, Sched: false}},
+		bench.PassVariant{Name: "O0", Config: compile.O0()},
+	)
 }
 
 // PassCoverage aggregates corpus coverage under every pass variant: one

@@ -8,23 +8,15 @@
 // \ufffd replacement for invalid UTF-8, and the escapes of U+2028 and
 // U+2029). Responses go out over buffers recycled through a sync.Pool,
 // requests through the client's reused buffer. Golden and randomized
-// tests (encode_test, decode_test) hold both to encoding/json; flipping
-// LegacyJSONEncoding routes the wire loop back through encoding/json as
-// the live differential oracle.
+// tests (encode_test, decode_test) hold both to encoding/json, and a
+// Serve-level test holds every wire line of a scripted session to it.
 package server
 
 import (
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"unicode/utf8"
 )
-
-// LegacyJSONEncoding, when set, routes wire responses through
-// encoding/json instead of the append encoder. It exists for the
-// byte-equivalence tests and the before/after serving benchmarks; leave
-// it off in production.
-var LegacyJSONEncoding atomic.Bool
 
 // encBufs recycles response encode buffers across requests and
 // connections. Stored as *[]byte so Put does not allocate.

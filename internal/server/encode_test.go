@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -137,55 +140,161 @@ func TestAppendStringRandom(t *testing.T) {
 	}
 }
 
-// TestServeEncodingModes runs the same scripted connection under the
-// append encoder and under LegacyJSONEncoding and requires the wire
-// bytes to be identical.
-func TestServeEncodingModes(t *testing.T) {
-	script := strings.Join([]string{
-		`{"id":1,"cmd":"compile","name":"p","src":"int main() { int i; int s; s = 0; for (i = 0; i < 10; i = i + 1) { s = s + i; } print s; return s; }"}`,
-		`{"id":2,"cmd":"stats"}`,
-		`{"id":3,"cmd":"nope"}`,
-		`{"id":4,"cmd":"batch","reqs":[{"id":5,"cmd":"stats"},{"id":6,"cmd":"nope"}]}`,
-	}, "\n") + "\n"
+// TestServeLinesMatchJSON drives one connection through Serve — a debug
+// session (compile, open, break, continue, step, print, info, where,
+// coverage, close), a batch, an unknown command, a malformed line and
+// stats — and requires every wire line to equal encoding/json's encoding
+// of the same response. A twin server answers the same requests through
+// Handle to supply that response. The fields that differ between two
+// servers by design (the random session id and handle, the compile wall
+// time and the live counters of stats) are taken from the wire line
+// itself; everything else comes from the twin.
+func TestServeLinesMatchJSON(t *testing.T) {
+	const src = `int f(int v) { return v * 3; }
+int main() {
+	int i;
+	int s = 0;
+	for (i = 0; i < 10; i = i + 1) {
+		s = s + f(i);
+	}
+	print(s);
+	return s;
+}`
+	srv, twin := New(Options{}), New(Options{})
+	defer srv.Close()
+	defer twin.Close()
 
-	run := func(legacy bool) string {
-		s := New(Options{})
-		defer s.Close()
-		LegacyJSONEncoding.Store(legacy)
-		defer LegacyJSONEncoding.Store(false)
-		var out bytes.Buffer
-		if err := s.Serve(strings.NewReader(script), &out); err != nil {
-			t.Fatalf("Serve(legacy=%v): %v", legacy, err)
+	inR, inW := io.Pipe()
+	outR, outW := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- srv.Serve(inR, outW)
+		outW.Close()
+	}()
+	wire := bufio.NewReader(outR)
+
+	var sessWire, sessTwin string
+	// exchange sends one line to Serve and returns the wire line answering
+	// it, without the trailing newline.
+	exchange := func(line string) []byte {
+		t.Helper()
+		if _, err := io.WriteString(inW, line+"\n"); err != nil {
+			t.Fatalf("write %s: %v", line, err)
 		}
-		return out.String()
+		got, err := wire.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("read answer to %s: %v", line, err)
+		}
+		return got
+	}
+	check := func(got []byte, want *Response) {
+		t.Helper()
+		var onWire Response
+		if err := json.Unmarshal(got, &onWire); err != nil {
+			t.Fatalf("wire line does not parse: %v\n%s", err, got)
+		}
+		copyVolatile(want, &onWire)
+		var enc bytes.Buffer
+		if err := json.NewEncoder(&enc).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, enc.Bytes()) {
+			t.Errorf("wire line differs from encoding/json\n wire: %s json: %s", got, enc.Bytes())
+		}
+	}
+	// send issues req on the connection and on the twin, each naming its
+	// own session.
+	send := func(req Request) *Response {
+		t.Helper()
+		req, twinReq := withSession(req, sessWire), withSession(req, sessTwin)
+		line, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := twin.Handle(&twinReq)
+		got := exchange(string(line))
+		if req.Cmd == "open-session" {
+			var r Response
+			if err := json.Unmarshal(got, &r); err != nil {
+				t.Fatal(err)
+			}
+			sessWire, sessTwin = r.Session, want.Session
+		}
+		check(got, want)
+		return want
 	}
 
-	fast := run(false)
-	legacy := run(true)
-	// Stats lines carry live counters (requests, vm runs...) that differ
-	// between the two runs; compare structure line by line, and bytes on
-	// the stats-free lines.
-	fl, ll := strings.Split(fast, "\n"), strings.Split(legacy, "\n")
-	if len(fl) != len(ll) {
-		t.Fatalf("line count differs: %d vs %d\nfast: %q\nlegacy: %q", len(fl), len(ll), fast, legacy)
+	c := send(Request{ID: 1, Cmd: "compile", Name: "p", Src: src})
+	if !c.OK {
+		t.Fatalf("compile: %+v", c.Error)
 	}
-	for i := range fl {
-		if strings.Contains(fl[i], `"stats"`) {
-			continue
-		}
-		if fl[i] != ll[i] {
-			t.Errorf("line %d differs\n  fast: %s\nlegacy: %s", i, fl[i], ll[i])
+	if o := send(Request{ID: 2, Cmd: "open-session", Artifact: c.Artifact}); !o.OK {
+		t.Fatalf("open-session: %+v", o.Error)
+	}
+	send(Request{ID: 3, Cmd: "break", Session: "s", Line: 6})
+	send(Request{ID: 4, Cmd: "break", Session: "s", Line: 1})
+	for id := int64(5); id < 9; id++ {
+		send(Request{ID: id, Cmd: "continue", Session: "s"})
+	}
+	send(Request{ID: 9, Cmd: "step", Session: "s"})
+	send(Request{ID: 10, Cmd: "print", Session: "s", Var: "s"})
+	send(Request{ID: 11, Cmd: "info", Session: "s"})
+	send(Request{ID: 12, Cmd: "where", Session: "s"})
+	send(Request{ID: 13, Cmd: "print", Session: "s", Var: "nosuch"})
+	send(Request{ID: 14, Cmd: "coverage", Artifact: c.Artifact})
+	send(Request{ID: 15, Cmd: "batch", Reqs: []Request{
+		{ID: 16, Cmd: "where", Session: "s"},
+		{ID: 17, Cmd: "nope"},
+	}})
+	send(Request{ID: 18, Cmd: "nope"})
+	send(Request{ID: 19, Cmd: "stats"})
+	for id := int64(20); id < 60; id++ {
+		if r := send(Request{ID: id, Cmd: "continue", Session: "s"}); r.Exited || !r.OK {
+			break
 		}
 	}
-	// And every fast-path line must itself re-marshal identically: decode
-	// then json.Marshal must reproduce the exact wire bytes.
-	for i, line := range fl {
-		if line == "" {
-			continue
+	send(Request{ID: 60, Cmd: "close", Session: "s"})
+
+	const malformed = `{"id":61,"cmd":`
+	var req Request
+	derr := decodeRequest([]byte(malformed), &req)
+	if derr == nil {
+		t.Fatal("malformed line decoded")
+	}
+	check(exchange(malformed), errResp(0, CodeBadRequest, fmt.Sprintf("malformed request: %v", derr)))
+
+	inW.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// withSession returns req with every non-empty session field, batch
+// sub-requests included, set to id.
+func withSession(req Request, id string) Request {
+	if req.Session != "" {
+		req.Session = id
+	}
+	if req.Reqs != nil {
+		subs := make([]Request, len(req.Reqs))
+		for i, sub := range req.Reqs {
+			subs[i] = withSession(sub, id)
 		}
-		var r Response
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			t.Fatalf("line %d does not parse: %v\n%s", i, err, line)
+		req.Reqs = subs
+	}
+	return req
+}
+
+// copyVolatile copies into want the fields of the wire response got that
+// differ between two servers by design, recursing into batch results.
+func copyVolatile(want, got *Response) {
+	want.Session, want.Handle, want.CompileMS = got.Session, got.Handle, got.CompileMS
+	if want.Stats != nil {
+		want.Stats = got.Stats
+	}
+	if len(want.Results) == len(got.Results) {
+		for i := range want.Results {
+			copyVolatile(&want.Results[i], &got.Results[i])
 		}
 	}
 }

@@ -284,11 +284,11 @@ type Stats struct {
 	SROASplits       int64 `json:"sroa_splits"`
 	FieldsClassified int64 `json:"fields_classified"`
 
-	// VMFastRuns/VMSlowRuns count VM run-loop invocations by path since
-	// process start (process-wide, not per-server): the predecoded bitmap
-	// fast path vs the closure-predicate reference path. Steady serving
-	// load must keep VMSlowRuns flat — the CI bench smoke asserts exactly
-	// that.
+	// VMFastRuns counts VM run-to-stop invocations (vm.Runs) since
+	// process start, process-wide rather than per server. VMSlowRuns
+	// reads 0 by construction: the VM has one engine, and no run can take
+	// the closure-predicate loop this field used to count. It stays on
+	// the wire for clients that check it does not move.
 	VMFastRuns int64 `json:"vm_fast_runs"`
 	VMSlowRuns int64 `json:"vm_slow_runs"`
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -400,14 +399,9 @@ func (s *Server) Serve(r io.Reader, w io.Writer) error {
 	return nil
 }
 
-// writeResponse puts one response line on the wire: the pooled append
-// encoder by default, or encoding/json (byte-identical, slower) when
-// LegacyJSONEncoding is set. Both end the line with '\n', matching
-// json.Encoder.Encode.
+// writeResponse puts one response line on the wire through the pooled
+// append encoder, ending it with '\n' as json.Encoder.Encode does.
 func writeResponse(w io.Writer, resp *Response) error {
-	if LegacyJSONEncoding.Load() {
-		return json.NewEncoder(w).Encode(resp)
-	}
 	bp := encBufs.Get().(*[]byte)
 	b := appendResponse((*bp)[:0], resp)
 	b = append(b, '\n')
@@ -985,7 +979,7 @@ func (s *Server) Snapshot() Stats {
 	}
 	st.SROASplits = opt.SROASplitCount()
 	st.FieldsClassified = core.FieldsClassifiedCount()
-	st.VMFastRuns, st.VMSlowRuns = vm.PathStats()
+	st.VMFastRuns = vm.Runs()
 	ps := s.store.PipelineStats()
 	st.CompileWorkers = s.store.CompileWorkers()
 	st.FuncsCompiled = ps.FuncsCompiled

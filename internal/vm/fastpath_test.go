@@ -241,28 +241,23 @@ func TestOutputUnlimited(t *testing.T) {
 	}
 }
 
-// TestPathStats: RunBreaks increments the fast counter, RunUntilFunc the
-// slow one.
-func TestPathStats(t *testing.T) {
-	f0, s0 := PathStats()
+// TestRunsCounter: every run-to-stop (Run is RunBreaks with an empty set)
+// moves the counter the server reports as vm_fast_runs; single steps do
+// not.
+func TestRunsCounter(t *testing.T) {
+	r0 := Runs()
 	_, v := compile(t, loopProg, opt.O2())
+	if err := v.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if r1 := Runs(); r1 != r0 {
+		t.Errorf("Step moved the run counter: %d -> %d", r0, r1)
+	}
 	if err := v.Run(); err != nil {
 		t.Fatal(err)
 	}
-	f1, s1 := PathStats()
-	if f1 <= f0 {
-		t.Errorf("fast counter did not move: %d -> %d", f0, f1)
-	}
-	if s1 != s0 {
-		t.Errorf("slow counter moved on a fast run: %d -> %d", s0, s1)
-	}
-	_, v2 := compile(t, loopProg, opt.O2())
-	if err := v2.RunUntilFunc(func(Pos) bool { return false }); err != nil {
-		t.Fatal(err)
-	}
-	_, s2 := PathStats()
-	if s2 != s1+1 {
-		t.Errorf("slow counter after RunUntilFunc: %d, want %d", s2, s1+1)
+	if r2 := Runs(); r2 != r0+1 {
+		t.Errorf("run counter after one Run: %d, want %d", r2, r0+1)
 	}
 }
 

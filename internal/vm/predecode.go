@@ -184,7 +184,7 @@ func (fc *funcCode) pcOf(b *mach.Block, idx int) (int32, bool) {
 }
 
 // BreakSet is a compiled set of stop positions over one program: one bit
-// per predecoded pc. The execution fast path tests a single bit before
+// per predecoded pc. The run loop tests a single bit before
 // each instruction instead of building a Pos and calling a predicate
 // closure. A BreakSet is only valid for VMs over the program it was
 // compiled for.
@@ -241,8 +241,7 @@ func (bs *BreakSet) maskOf(fn *mach.Func) []uint64 {
 // StepBreakSet compiles the source-level single-step stop rule into a
 // BreakSet: execution stops at any statement-tagged instruction of a
 // function other than fn, and at any statement-tagged instruction of fn
-// whose statement differs from stmt. This is exactly the predicate
-// debugger.Step used to evaluate per instruction through RunUntil.
+// whose statement differs from stmt.
 func (vm *VM) StepBreakSet(fn *mach.Func, stmt int) *BreakSet {
 	bs := &BreakSet{pc: vm.pcode, masks: map[*mach.Func][]uint64{}, stepMode: true}
 	fc, ok := vm.pcode.funcs[fn]
@@ -260,15 +259,9 @@ func (vm *VM) StepBreakSet(fn *mach.Func, stmt int) *BreakSet {
 	return bs
 }
 
-// fastRuns/slowRuns count run-loop invocations by path, process-wide: the
-// predecoded bitmap loop (RunBreaks) vs the closure-predicate reference
-// loop (RunUntilFunc). The CI bench smoke asserts serving load stays on
-// the fast path by checking the slow counter does not move.
-var fastRuns, slowRuns atomic.Int64
+// runs counts RunBreaks invocations (Run included), process-wide.
+var runs atomic.Int64
 
-// PathStats reports how many run-loop invocations took the predecoded
-// bitmap fast path vs the closure-predicate slow path since process
-// start.
-func PathStats() (fast, slow int64) {
-	return fastRuns.Load(), slowRuns.Load()
-}
+// Runs reports how many run-to-stop invocations (RunBreaks, Run) the
+// process has made since it started.
+func Runs() int64 { return runs.Load() }

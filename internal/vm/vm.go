@@ -5,15 +5,13 @@
 // the paper's model needs: run-to-breakpoint, single-step, and inspection
 // of registers and memory at the stopped position.
 //
-// Execution has two paths. The hot path (Run, RunBreaks) walks the
-// predecoded pc-indexed instruction array (see predecode.go) and tests a
-// breakpoint bitmap bit per instruction, with the step-budget and
-// wall-clock-deadline checks folded into one counter examined every
-// checkQuantum instructions. The reference path (RunUntilFunc) evaluates
-// an arbitrary stop predicate over a Pos before every instruction — the
-// legacy interface, kept as the differential oracle the equivalence tests
-// hold the fast path against, and for callers with stop conditions no
-// bitmap can express.
+// Execution has one engine. Run and RunBreaks walk the predecoded
+// pc-indexed instruction array (see predecode.go) and test a breakpoint
+// bitmap bit per instruction, with the step-budget and wall-clock-deadline
+// checks folded into one counter examined every checkQuantum instructions;
+// Step executes a single instruction on the same dispatch. The
+// closure-predicate loop the engine replaced lives on in the tests as the
+// differential oracle it is held byte-identical against.
 package vm
 
 import (
@@ -231,8 +229,7 @@ func (vm *VM) SetDeadline(t time.Time) {
 }
 
 // checkDeadline reports ErrDeadline when the wall-clock deadline has
-// already passed. Both run entry points (RunBreaks and RunUntilFunc)
-// call it before executing anything: the in-loop checks fire only at
+// already passed. RunBreaks calls it before executing anything: the in-loop checks fire only at
 // checkQuantum-aligned step counts, so without the entry check a program
 // shorter than checkQuantum steps — or a request admitted after its
 // deadline under queueing delay — would run to completion against an
@@ -285,7 +282,7 @@ func (vm *VM) CurrentInstr() *mach.Instr {
 	return fr.code.code[fr.pc].in
 }
 
-// Run executes until the program halts, on the predecoded fast path.
+// Run executes until the program halts, on the predecoded engine.
 func (vm *VM) Run() error {
 	if vm.empty == nil {
 		vm.empty = vm.NewBreakSet()
@@ -293,39 +290,10 @@ func (vm *VM) Run() error {
 	return vm.RunBreaks(vm.empty, false)
 }
 
-// RunUntil executes until stop(pos) returns true (checked before each
-// instruction) or the program halts.
-//
-// Deprecated: RunUntil is the original name of RunUntilFunc and forwards
-// to it. Hot callers with fixed stop positions should compile a BreakSet
-// and use RunBreaks instead.
-func (vm *VM) RunUntil(stop func(Pos) bool) error { return vm.RunUntilFunc(stop) }
-
-// RunUntilFunc executes until stop(pos) returns true (checked before each
-// instruction) or the program halts. This is the reference slow path: it
-// builds a Pos and calls the predicate before every instruction, so it can
-// express stop conditions no bitmap can. The equivalence tests hold
-// RunBreaks to byte-identical behavior against it.
-func (vm *VM) RunUntilFunc(stop func(Pos) bool) error {
-	slowRuns.Add(1)
-	if err := vm.checkDeadline(); err != nil {
-		return err
-	}
-	for !vm.halted {
-		if stop(vm.Position()) {
-			return nil
-		}
-		if err := vm.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunBreaks executes until the current position's bit in bs is set
 // (checked before each instruction), the program halts, or the step
 // budget, deadline, or an execution fault cuts it off. It is the
-// predecoded fast path behind run-to-breakpoint and source-level step:
+// predecoded engine behind run-to-breakpoint and source-level step:
 // dispatch walks the flat instruction array and the stop check is one
 // bitmap bit test, with the budget and deadline checks folded into a
 // single fused counter examined every checkQuantum instructions (and at
@@ -335,7 +303,7 @@ func (vm *VM) RunUntilFunc(stop func(Pos) bool) error {
 // before stopping is considered: resuming from a breakpoint must not
 // immediately re-trigger it.
 func (vm *VM) RunBreaks(bs *BreakSet, skipCurrent bool) error {
-	fastRuns.Add(1)
+	runs.Add(1)
 	if bs == nil || bs.pc != vm.pcode {
 		return errors.New("vm: BreakSet was compiled for a different program")
 	}
@@ -360,8 +328,7 @@ func (vm *VM) RunBreaks(bs *BreakSet, skipCurrent bool) error {
 		}
 		if n <= 0 {
 			// Budget exhausted: a stop at the current position still wins
-			// (the stop check precedes the step attempt, as in the
-			// reference path).
+			// (the stop check precedes the step attempt).
 			pc := fr.pc
 			if mask != nil && mask[pc>>6]&(1<<(uint(pc)&63)) != 0 {
 				return nil

@@ -135,7 +135,7 @@ int main() {
 	return s;
 }`, opt.O0())
 	// Stop at the first print instruction.
-	err := vm.RunUntil(func(p Pos) bool {
+	err := vm.RunUntilFunc(func(p Pos) bool {
 		in := vm.CurrentInstr()
 		return in != nil && in.Op.String() == "print"
 	})

@@ -66,17 +66,18 @@ int main() { return g(0, 5, 4); }
 	// Output: x = 0 (WARNING: noncurrent due to dead code elimination — the assignment to x (statement 0) was eliminated as dead; the value shown is stale; see line 3)
 }
 
-// Share a cache so identical compilations run the pipeline once.
-func ExampleWithCache() {
-	cache := minic.NewCache(16)
+// Share a store so identical compilations run the pipeline once.
+func ExampleWithStore() {
+	st := minic.NewStore(minic.WithMaxArtifacts(16))
+	defer st.Close()
 	src := `int main() { return 7; }`
 	for i := 0; i < 3; i++ {
-		if _, err := minic.Compile("seven.mc", src, minic.WithCache(cache)); err != nil {
+		if _, err := minic.Compile("seven.mc", src, minic.WithStore(st)); err != nil {
 			log.Fatal(err)
 		}
 	}
-	st := cache.Stats()
-	fmt.Printf("misses=%d hits=%d\n", st.Misses, st.Hits)
+	stats := st.Stats()
+	fmt.Printf("misses=%d hits=%d\n", stats.Misses, stats.Hits)
 	// Output: misses=1 hits=2
 }
 

@@ -12,7 +12,7 @@
 //
 // Compilation is configured with functional options (OptLevel, RegAlloc,
 // Sched, Markers, Passes) instead of a bare config struct, and repeated
-// compiles can share a concurrency-safe artifact Cache. An Artifact and
+// compiles can share a concurrency-safe artifact Store. An Artifact and
 // its analyses are immutable, so any number of Sessions — including
 // concurrent ones — may share one Artifact.
 //
@@ -35,10 +35,7 @@
 // kept for compatibility and slated for removal from driver code. In-repo
 // harnesses that genuinely need the internal config (benchmarks, the
 // ablation driver) should derive it from options via ResolveConfig rather
-// than building the struct by hand. The legacy Cache (NewCache/WithCache)
-// predates the unified Store and keeps whole-artifact granularity only;
-// prefer NewStore/WithStore, which adds memory accounting, disk spill and
-// incremental per-function reuse.
+// than building the struct by hand.
 package minic
 
 import (
@@ -60,7 +57,6 @@ type Option func(*settings)
 
 type settings struct {
 	cfg        compile.Config
-	cache      *Cache
 	store      *Store
 	precompute int // -1: off, 0: GOMAXPROCS, >0: bounded pool
 	workers    int // per-function compile workers; 0 = GOMAXPROCS
@@ -108,11 +104,6 @@ func WithPasses(o opt.Options) Option {
 	}
 }
 
-// WithCache compiles through c: identical (name, source, options)
-// requests are served from cache, and concurrent requests coalesce into
-// one pipeline run.
-func WithCache(c *Cache) Option { return func(s *settings) { s.cache = c } }
-
 // WithPrecomputedAnalyses builds the debugger's per-function data-flow
 // analyses eagerly with a bounded worker pool (workers <= 0 selects
 // GOMAXPROCS) instead of lazily at the first breakpoint.
@@ -151,17 +142,6 @@ func ResolveConfig(opts ...Option) compile.Config {
 	}
 	return s.cfg
 }
-
-// Cache is a concurrency-safe compiled-artifact cache with LRU eviction;
-// see NewCache.
-type Cache = compile.Cache
-
-// CacheStats reports cache effectiveness counters.
-type CacheStats = compile.CacheStats
-
-// NewCache returns an artifact cache bounded to max entries (max <= 0
-// means unbounded) for use with WithCache.
-func NewCache(max int) *Cache { return compile.NewCache(max) }
 
 // Store is the unified artifact store: a sharded, memory-accounted cache
 // that retains compiled artifacts together with their lazily built
@@ -229,7 +209,6 @@ func NewStore(opts ...StoreOption) *Store {
 // store (memory or disk tier), concurrent requests coalesce into one
 // pipeline run, and the resulting Artifact shares the store's analysis
 // set, so analyses are charged against — and evicted with — the artifact.
-// Takes precedence over WithCache.
 func WithStore(st *Store) Option { return func(s *settings) { s.store = st } }
 
 // Artifact is one compiled program: every representation level produced
@@ -251,9 +230,9 @@ type Artifact struct {
 // CompileStats describes the compile that produced an Artifact: how many
 // functions the program has, how many per-function back ends actually ran,
 // how many functions were stitched unchanged from the incremental cache,
-// and the pipeline wall time. For an artifact served whole from a Store or
-// Cache the stats are those of the compile that originally produced it
-// (zero if it was rehydrated from a disk tier).
+// and the pipeline wall time. For an artifact served whole from a Store
+// the stats are those of the compile that originally produced it (zero if
+// it was rehydrated from a disk tier).
 type CompileStats struct {
 	Funcs         int
 	FuncsCompiled int
@@ -276,9 +255,7 @@ func (a *Artifact) CompileStats() CompileStats {
 // is keyed by a content hash of its checked IR plus the configuration, so
 // a one-function edit runs exactly one back end and stitches the rest
 // from cache. The receiver is unchanged; the new Artifact shares the same
-// incremental cache, so a chain of Recompiles keeps reusing. With the
-// legacy WithCache path there is no per-function tier and Recompile is a
-// full (whole-artifact cached) compile.
+// incremental cache, so a chain of Recompiles keeps reusing.
 func (a *Artifact) Recompile(src string) (*Artifact, error) { return a.recompile(src) }
 
 func defaultSettings() settings {
@@ -309,8 +286,8 @@ func (s *settings) compile(name, src string) (*Artifact, error) {
 	return s.compileVia(nil, name, src)
 }
 
-// compileVia compiles through the settings' store, cache, or — by default
-// — a per-lineage pipeline with an attached per-function cache. pipe is
+// compileVia compiles through the settings' store or — by default — a
+// per-lineage pipeline with an attached per-function cache. pipe is
 // the lineage pipeline to reuse (nil on the first compile).
 func (s *settings) compileVia(pipe *compile.Pipeline, name, src string) (*Artifact, error) {
 	var a *Artifact
@@ -323,12 +300,6 @@ func (s *settings) compileVia(pipe *compile.Pipeline, name, src string) (*Artifa
 		// Share the store's analysis set so the artifact and its
 		// analyses are accounted and evicted as one unit.
 		a = &Artifact{res: sa.Res, analyses: sa.Analyses, metrics: sa.Metrics}
-	case s.cache != nil:
-		res, _, err := s.cache.Compile(name, src, s.cfg)
-		if err != nil {
-			return nil, err
-		}
-		a = &Artifact{res: res, analyses: core.NewAnalysisSet()}
 	default:
 		if pipe == nil {
 			pipe = compile.NewPipeline(compile.PipelineConfig{

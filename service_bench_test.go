@@ -12,11 +12,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/artstore"
 	"repro/internal/bench"
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/server"
-	"repro/internal/vm"
 )
 
 // BenchmarkCompileCold compiles the li workload through the pipeline
@@ -31,16 +31,17 @@ func BenchmarkCompileCold(b *testing.B) {
 }
 
 // BenchmarkCompileCached serves the same workload from the artifact
-// cache after one cold compile.
+// store after one cold compile.
 func BenchmarkCompileCached(b *testing.B) {
 	src := bench.MustSource("li")
-	c := compile.NewCache(8)
-	if _, _, err := c.Compile("li.mc", src, compile.O2()); err != nil {
+	c := artstore.New(artstore.Config{MaxArtifacts: 8})
+	defer c.Close()
+	if _, _, err := c.Get("li.mc", src, compile.O2()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit, err := c.Compile("li.mc", src, compile.O2()); err != nil || !hit {
+		if _, hit, err := c.Get("li.mc", src, compile.O2()); err != nil || !hit {
 			b.Fatalf("hit=%v err=%v", hit, err)
 		}
 	}
@@ -170,11 +171,10 @@ func BenchmarkServerSession(b *testing.B) {
 
 // BenchmarkServeContinue is the hot serving path end to end: a session
 // stopped at a breakpoint in a tight loop body, resumed with one
-// continue request line per stop through the full wire loop (JSON
-// decode, bitmap resume, response encode). The stdlib sub-benchmark
-// routes responses through encoding/json (the old encoder); append uses
-// the pooled append encoder. Wire bytes are identical either way — the
-// encoder equivalence tests hold them so — only cost differs.
+// continue request line per stop through the full wire loop (request
+// decode, bitmap resume, append-encoded response). The sub-benchmark is
+// named for the response encoder; BenchmarkEncodeResponse in
+// internal/server compares it with encoding/json in isolation.
 func BenchmarkServeContinue(b *testing.B) {
 	src := `int main() {
 	int i;
@@ -190,51 +190,38 @@ func BenchmarkServeContinue(b *testing.B) {
 }
 `
 	const linesPerOp = 64
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"stdlib", true}, {"append", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s := server.New(server.Options{})
-			defer s.Close()
-			c := s.Handle(&server.Request{Cmd: "compile", Name: "hot", Src: src})
-			if !c.OK {
-				b.Fatalf("compile: %+v", c.Error)
+	b.Run("append", func(b *testing.B) {
+		s := server.New(server.Options{})
+		defer s.Close()
+		c := s.Handle(&server.Request{Cmd: "compile", Name: "hot", Src: src})
+		if !c.OK {
+			b.Fatalf("compile: %+v", c.Error)
+		}
+		o := s.Handle(&server.Request{Cmd: "open-session", Artifact: c.Artifact})
+		if !o.OK {
+			b.Fatalf("open: %+v", o.Error)
+		}
+		if r := s.Handle(&server.Request{Cmd: "break", Session: o.Session, Line: 5}); !r.OK {
+			b.Fatalf("break: %+v", r.Error)
+		}
+		var sb strings.Builder
+		enc := json.NewEncoder(&sb)
+		for i := 0; i < linesPerOp; i++ {
+			req := server.Request{ID: int64(i + 1), Cmd: "continue", Session: o.Session, Handle: o.Handle}
+			if err := enc.Encode(&req); err != nil {
+				b.Fatal(err)
 			}
-			o := s.Handle(&server.Request{Cmd: "open-session", Artifact: c.Artifact})
-			if !o.OK {
-				b.Fatalf("open: %+v", o.Error)
-			}
-			if r := s.Handle(&server.Request{Cmd: "break", Session: o.Session, Line: 5}); !r.OK {
-				b.Fatalf("break: %+v", r.Error)
-			}
-			var sb strings.Builder
-			enc := json.NewEncoder(&sb)
-			for i := 0; i < linesPerOp; i++ {
-				req := server.Request{ID: int64(i + 1), Cmd: "continue", Session: o.Session, Handle: o.Handle}
-				if err := enc.Encode(&req); err != nil {
-					b.Fatal(err)
-				}
-			}
-			input := sb.String()
+		}
+		input := sb.String()
 
-			server.LegacyJSONEncoding.Store(mode.legacy)
-			defer server.LegacyJSONEncoding.Store(false)
-			_, slow0 := vm.PathStats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Serve(strings.NewReader(input), io.Discard); err != nil {
-					b.Fatal(err)
-				}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Serve(strings.NewReader(input), io.Discard); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			b.ReportMetric(linesPerOp, "continues/op")
-			// Serving load must stay on the predecoded bitmap path; a moving
-			// slow counter means continue fell back to the predicate loop.
-			if _, slow1 := vm.PathStats(); slow1 != slow0 {
-				b.Fatalf("serving load took the slow VM path %d times", slow1-slow0)
-			}
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(linesPerOp, "continues/op")
+	})
 }
